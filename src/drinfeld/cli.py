@@ -150,6 +150,8 @@ def _report_dict(report):
 
 
 def _doc_verify(config):
+    if config.r != 1:
+        raise ValueError("verify requires r = 1 (tables exist only for q = p)")
     report = modrep.verify_full(config.p, config.m, force=config.force)
     return (0 if report.all_passed else 1), _report_dict(report)
 
@@ -366,6 +368,13 @@ def build_parser():
     return parser
 
 
+def _int_list(option, text):
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{option} must be a comma list of integers, got {text!r}") from None
+
+
 def config_from_args(args):
     cfg = RunConfig(command=args.command)
     for name in ("p", "r", "m", "format", "group", "element", "oracle", "force", "out"):
@@ -374,14 +383,19 @@ def config_from_args(args):
             if value is not None:
                 setattr(cfg, name, tuple(value) if name == "element" else value)
     if args.command == "sweep":
-        cfg.p_values = tuple(int(v) for v in args.p_values.split(","))
-        cfg.m_values = tuple(int(v) for v in args.m_values.split(","))
+        cfg.p_values = _int_list("--p-values", args.p_values)
+        cfg.m_values = _int_list("--m-values", args.m_values)
     return cfg
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    try:
+        config = config_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return run(config)
 
 
 if __name__ == "__main__":

@@ -238,8 +238,6 @@ def action_matrix(sigma, basis):
         pow_b.append(ctx.pmul(pow_b[-1], b))
         pow_c.append(ctx.pmul(pow_c[-1], c))
         pow_d.append(ctx.pmul(pow_d[-1], d))
-    if ctx.r > 1:
-        add_t, mul_t, _ = ctx.tables
     out = np.zeros((n, n), dtype=np.int64)
     memo = {}
     for row, (i, j) in enumerate(basis.indices):
@@ -267,13 +265,10 @@ def action_matrix(sigma, basis):
         for (i2, j2), coeff in acc.items():
             if coeff == 0:
                 continue
+            # reduction coordinates are prime-subfield constants, whose
+            # packed form is the residue itself
             red = _reduce(i2, j2, basis, memo)
-            if ctx.r == 1:
-                rowvec = (rowvec + coeff * red) % p
-            else:
-                # reduction coordinates are prime-subfield constants, whose
-                # packed form is the residue itself
-                rowvec = add_t[rowvec, mul_t[coeff, red]]
+            rowvec = ctx.submul(rowvec, ctx.neg(coeff), red)
         out[row] = rowvec
     return FqMatrix(ctx, out)
 

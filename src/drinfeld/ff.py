@@ -4,13 +4,20 @@ Field elements are residue coefficient vectors in the power basis of a fixed
 monic irreducible modulus (for r = 1 the modulus is ignored and elements are
 plain residues mod p).  Internally an element is packed into a single integer
 c_0 + c_1*p + ... + c_{r-1}*p^{r-1}; matrices store packed values in a dense
-integer array.  Everything is exact; there is no floating point anywhere.
+integer array.
+
+Row reduction, kernel, inverse and power are written once, over four
+packed-array ops of FieldCtx (submul, mul, neg, matmul).  Those ops are the
+only array code that depends on r: for r = 1 they are mod-p numpy arithmetic,
+for r > 1 they index the ADD/MUL/NEG lookup tables.  The *_array functions
+are the prime-field entry points on plain residue arrays.  Everything is
+exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -242,6 +249,35 @@ class FieldCtx:
                 mul[a, b] = mul[b, a] = m
         return add, mul, neg
 
+    # -- packed-array ops; the only array code that depends on r ------------
+
+    def submul(self, Y, c, X):
+        """Y - c*X on packed arrays, with numpy broadcasting."""
+        if self.r == 1:
+            return (Y - c * X) % self.p
+        add, mul, neg = self.tables
+        return add[Y, mul[neg[c], X]]
+
+    def mul(self, c, X):
+        """c*X on packed arrays, with numpy broadcasting."""
+        if self.r == 1:
+            return c * X % self.p
+        return self.tables[1][c, X]
+
+    def neg(self, X):
+        if self.r == 1:
+            return -X % self.p
+        return self.tables[2][X]
+
+    def matmul(self, A, B):
+        if self.r == 1:
+            return A @ B % self.p
+        add, mul, _ = self.tables
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for k in range(A.shape[1]):
+            out = add[out, mul[A[:, k][:, None], B[k][None, :]]]
+        return out
+
     @cached_property
     def _dlog(self):
         # discrete log base zeta on the prime field's nonzero residues
@@ -380,19 +416,11 @@ def inv(ctx, e):
 
 
 # ---------------------------------------------------------------------------
-# prime-field array kernels (residues mod p in int64 numpy arrays)
+# elimination core over the FieldCtx array ops
 
 
-def _as_array(a, p):
-    A = np.array(a, dtype=np.int64) % p
-    if A.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    return A
-
-
-def rref_array(A, p):
-    """Reduced row echelon form mod p; returns (R, pivot columns)."""
-    A = _as_array(A, p)
+def _rref(ctx, A):
+    # reduces A in place; the caller passes an array it owns
     rows, cols = A.shape
     piv = []
     r = 0
@@ -407,15 +435,68 @@ def rref_array(A, p):
             A[[r, i]] = A[[i, r]]
         a = int(A[r, c])
         if a != 1:
-            A[r] = A[r] * pow(a, p - 2, p) % p
+            A[r] = ctx.mul(ctx.pinv(a), A[r])
         colv = A[:, c].copy()
         colv[r] = 0
         nzr = np.flatnonzero(colv)
         if nzr.size:
-            A[nzr] = (A[nzr] - np.outer(colv[nzr], A[r])) % p
+            A[nzr] = ctx.submul(A[nzr], colv[nzr][:, None], A[r])
         piv.append(c)
         r += 1
     return A, piv
+
+
+def _kernel(ctx, A):
+    R, piv = _rref(ctx, A)
+    free = np.setdiff1d(np.arange(R.shape[1]), piv)
+    K = np.zeros((R.shape[1], free.size), dtype=np.int64)
+    K[free, np.arange(free.size)] = 1
+    K[piv] = ctx.neg(R[:len(piv)][:, free])
+    return K
+
+
+def _inv(ctx, A):
+    n, m = A.shape
+    if n != m:
+        raise ValueError("matrix must be square")
+    R, piv = _rref(ctx, np.hstack([A, np.eye(n, dtype=np.int64)]))
+    if piv != list(range(n)):
+        raise ValueError("matrix is singular")
+    return R[:, n:]
+
+
+def _matpow(ctx, A, k):
+    n, m = A.shape
+    if n != m:
+        raise ValueError("matrix must be square")
+    if k < 0:
+        raise ValueError("negative powers not supported here")
+    result = np.eye(n, dtype=np.int64)
+    while k:
+        if k & 1:
+            result = ctx.matmul(result, A)
+        A = ctx.matmul(A, A)
+        k >>= 1
+    return result
+
+
+# ---------------------------------------------------------------------------
+# prime-field entry points (residues mod p in int64 numpy arrays)
+
+_prime_field = lru_cache(maxsize=None)(make_field)
+
+
+def _as_array(a, p):
+    # % p returns a fresh array, so the caller owns the result
+    A = np.asarray(a, dtype=np.int64) % p
+    if A.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    return A
+
+
+def rref_array(A, p):
+    """Reduced row echelon form mod p; returns (R, pivot columns)."""
+    return _rref(_prime_field(p), _as_array(A, p))
 
 
 def rank_array(A, p):
@@ -424,46 +505,15 @@ def rank_array(A, p):
 
 def kernel_array(A, p):
     """Columns spanning the right null space {x : A x = 0} mod p."""
-    A = _as_array(A, p)
-    R, piv = rref_array(A, p)
-    cols = A.shape[1]
-    pivset = set(piv)
-    free = [c for c in range(cols) if c not in pivset]
-    K = np.zeros((cols, len(free)), dtype=np.int64)
-    for idx, f in enumerate(free):
-        K[f, idx] = 1
-        for rr, c in enumerate(piv):
-            K[c, idx] = (-int(R[rr, f])) % p
-    return K
+    return _kernel(_prime_field(p), _as_array(A, p))
 
 
 def inv_array(A, p):
-    A = _as_array(A, p)
-    n, m = A.shape
-    if n != m:
-        raise ValueError("matrix must be square")
-    aug = np.hstack([A, np.eye(n, dtype=np.int64)])
-    R, piv = rref_array(aug, p)
-    if piv != list(range(n)):
-        raise ValueError("matrix is singular")
-    return R[:, n:]
+    return _inv(_prime_field(p), _as_array(A, p))
 
 
 def matpow_array(A, k, p):
-    A = _as_array(A, p)
-    n, m = A.shape
-    if n != m:
-        raise ValueError("matrix must be square")
-    if k < 0:
-        raise ValueError("negative powers not supported here")
-    result = np.eye(n, dtype=np.int64)
-    base = A
-    while k:
-        if k & 1:
-            result = result @ base % p
-        base = base @ base % p
-        k >>= 1
-    return result
+    return _matpow(_prime_field(p), _as_array(A, p), k)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +542,7 @@ class FqMatrix:
 
     @classmethod
     def identity(cls, ctx, n):
-        m = np.zeros((n, n), dtype=np.int64)
-        np.fill_diagonal(m, ctx.pack([1]))
-        return cls(ctx, m)
+        return cls(ctx, np.eye(n, dtype=np.int64))  # packed one is 1
 
     @classmethod
     def from_elems(cls, ctx, rows):
@@ -530,10 +578,6 @@ class FqMatrix:
         """Nested list of packed values (residues when r = 1)."""
         return self.data.tolist()
 
-    def to_coeff_lists(self):
-        """Nested list of coefficient vectors; for presenting r > 1 output."""
-        return [[list(self.ctx.unpack(int(v))) for v in row] for row in self.data]
-
     @property
     def T(self):
         return FqMatrix(self.ctx, self.data.T.copy())
@@ -542,116 +586,42 @@ class FqMatrix:
         if not isinstance(other, FqMatrix) or other.ctx != self.ctx:
             raise ValueError("operands must be matrices over the same field")
 
-    def __add__(self, other):
+    def _same_shape(self, other):
         self._binop_check(other)
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        ctx = self.ctx
-        if ctx.r == 1:
-            return FqMatrix(ctx, (self.data + other.data) % ctx.p)
-        add, _, _ = ctx.tables
-        return FqMatrix(ctx, add[self.data, other.data])
+
+    def __add__(self, other):
+        self._same_shape(other)
+        return FqMatrix(self.ctx, self.ctx.submul(self.data, self.ctx.pneg(1), other.data))
 
     def __sub__(self, other):
-        self._binop_check(other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        ctx = self.ctx
-        if ctx.r == 1:
-            return FqMatrix(ctx, (self.data - other.data) % ctx.p)
-        add, _, neg = ctx.tables
-        return FqMatrix(ctx, add[self.data, neg[other.data]])
+        self._same_shape(other)
+        return FqMatrix(self.ctx, self.ctx.submul(self.data, 1, other.data))
 
     def __matmul__(self, other):
         self._binop_check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ctx = self.ctx
-        if ctx.r == 1:
-            return FqMatrix(ctx, self.data @ other.data % ctx.p)
-        add, mul, _ = ctx.tables
-        out = np.zeros((self.rows, other.cols), dtype=np.int64)
-        for k in range(self.cols):
-            term = mul[self.data[:, k][:, None], other.data[k][None, :]]
-            out = add[out, term]
-        return FqMatrix(ctx, out)
+        return FqMatrix(self.ctx, self.ctx.matmul(self.data, other.data))
 
     def __pow__(self, k):
-        if self.rows != self.cols:
-            raise ValueError("matrix must be square")
         if k < 0:
             return self.inv() ** (-k)
-        result = FqMatrix.identity(self.ctx, self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
+        return FqMatrix(self.ctx, _matpow(self.ctx, self.data, k))
 
     def scale(self, c):
         """Multiply every entry by the scalar c."""
-        c = self.ctx.element(c)
-        ctx = self.ctx
-        if ctx.r == 1:
-            return FqMatrix(ctx, self.data * c.val % ctx.p)
-        _, mul, _ = ctx.tables
-        return FqMatrix(ctx, mul[c.val, self.data])
+        return FqMatrix(self.ctx, self.ctx.mul(self.ctx.element(c).val, self.data))
 
     def inv(self):
-        ctx = self.ctx
-        if self.rows != self.cols:
-            raise ValueError("matrix must be square")
-        if ctx.r == 1:
-            return FqMatrix(ctx, inv_array(self.data, ctx.p))
-        n = self.rows
-        eye = FqMatrix.identity(ctx, n)
-        aug = np.hstack([self.data, eye.data])
-        R, piv = _rref_table(ctx, aug)
-        if piv != list(range(n)):
-            raise ValueError("matrix is singular")
-        return FqMatrix(ctx, R[:, n:])
-
-
-def _rref_table(ctx, A):
-    # row reduction over GF(p^r) via lookup tables on packed values
-    A = np.array(A, dtype=np.int64)
-    add, mul, neg = ctx.tables
-    rows, cols = A.shape
-    piv = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        a = int(A[r, c])
-        if a != ctx.pack([1]):
-            A[r] = mul[ctx.pinv(a), A[r]]
-        colv = A[:, c].copy()
-        colv[r] = 0
-        nzr = np.flatnonzero(colv)
-        if nzr.size:
-            update = mul[neg[colv[nzr]][:, None], A[r][None, :]]
-            A[nzr] = add[A[nzr], update]
-        piv.append(c)
-        r += 1
-    return A, piv
+        return FqMatrix(self.ctx, _inv(self.ctx, self.data))
 
 
 def rref(m):
     """Reduced row echelon form; returns (FqMatrix, pivot column list)."""
-    ctx = m.ctx
-    if ctx.r == 1:
-        R, piv = rref_array(m.data, ctx.p)
-    else:
-        R, piv = _rref_table(ctx, m.data)
-    return FqMatrix(ctx, R), piv
+    R, piv = _rref(m.ctx, m.data.copy())
+    return FqMatrix(m.ctx, R), piv
 
 
 def rank(m):
@@ -660,19 +630,7 @@ def rank(m):
 
 def kernel_basis(m):
     """FqMatrix whose columns span the right null space of m."""
-    ctx = m.ctx
-    if ctx.r == 1:
-        return FqMatrix(ctx, kernel_array(m.data, ctx.p))
-    R, piv = _rref_table(ctx, m.data)
-    cols = m.cols
-    pivset = set(piv)
-    free = [c for c in range(cols) if c not in pivset]
-    K = np.zeros((cols, len(free)), dtype=np.int64)
-    for idx, f in enumerate(free):
-        K[f, idx] = ctx.pack([1])
-        for rr, c in enumerate(piv):
-            K[c, idx] = ctx.pneg(int(R[rr, f]))
-    return FqMatrix(ctx, K)
+    return FqMatrix(m.ctx, _kernel(m.ctx, m.data.copy()))
 
 
 def rank_of_power(m, k):

@@ -222,6 +222,9 @@ def test_exit_2_on_invalid_inputs(capsys):
         ["decompose", "--p", "3", "--m", "2", "--group", "G", "--oracle"],
         ["factors", "--p", "9", "--m", "2"],
         ["action", "--p", "3", "--m", "1", "--element", "1", "0", "0", "2"],
+        ["verify", "--p", "3", "--r", "2", "--m", "2"],
+        ["sweep", "--p-values", "3,x"],
+        ["sweep", "--m-values", "2,y"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

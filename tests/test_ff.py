@@ -247,6 +247,43 @@ def test_fqmatrix_rref_and_kernel_wrappers():
     assert (M @ K).tolist() == [[0], [0]]
 
 
+@st.composite
+def field_matrices(draw):
+    p, r = draw(st.sampled_from(_FIELDS))
+    ctx = field(p, r)
+
+    def matrix(rows, cols):
+        cells = st.integers(min_value=0, max_value=ctx.q - 1)
+        return FqMatrix(ctx, [[draw(cells) for _ in range(cols)] for _ in range(rows)])
+
+    rows, cols, n = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+    return ctx, matrix(rows, cols), matrix(n, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_elimination_properties_every_field(data):
+    ctx, M, S = data
+    K = kernel_basis(M)
+    assert M @ K == FqMatrix.zeros(ctx, M.rows, K.cols)
+    assert rank(M) + K.cols == M.cols
+    R, piv = rref(M)
+    assert rref(R) == (R, piv)
+    if ctx.r == 1:
+        R_arr, piv_arr = rref_array(M.data, ctx.p)
+        assert np.array_equal(R.data, R_arr) and piv == piv_arr
+    eye = FqMatrix.identity(ctx, S.rows)
+    if rank(S) == S.rows:
+        assert S @ S.inv() == eye
+    else:
+        with pytest.raises(ValueError):
+            S.inv()
+    acc = eye
+    for k in range(5):
+        assert S**k == acc
+        acc = acc @ S
+
+
 def test_singular_inverse_raises():
     ctx = make_field(5)
     M = FqMatrix(ctx, np.array([[1, 2], [2, 4]]))
