@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import closedform, modrep
 from .curve import BasisSet, GroupElement, action_matrix, degree
-from .ff import make_field
+from .ff import FqMatrix, make_field
 from .modrep import GuardError
 
 DEFAULT_SWEEP_P = (3, 5, 7)
@@ -50,10 +50,11 @@ def _element_from_tokens(tokens, ctx):
     return GroupElement(a, b, c, d)
 
 
-def _cell(elem):
-    if elem.ctx.r == 1:
-        return int(elem.val)
-    return list(elem.coeffs)
+def _cells(mat):
+    """Entries of an FqMatrix as JSON-ready nested lists: residues when
+    r = 1, coefficient vectors (low degree first) when r > 1."""
+    data = mat.data if mat.ctx.r == 1 else mat.ctx.unpack_array(mat.data)
+    return data.tolist()
 
 
 # -- document builders (JSON-shaped dicts; other formats project these) ----
@@ -80,14 +81,14 @@ def _doc_action(config):
     sigma = _element_from_tokens(config.element, ctx)
     basis = BasisSet(q, config.m)
     mat = action_matrix(sigma, basis)
+    element = FqMatrix.from_elems(ctx, [[sigma.alpha, sigma.beta], [sigma.gamma, sigma.delta]])
     return 0, {
         "q": q,
         "p": config.p,
         "r": config.r,
         "m": config.m,
-        "element": [[_cell(e) for e in sigma.entries()[:2]],
-                    [_cell(e) for e in sigma.entries()[2:]]],
-        "matrix": [[_cell(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)],
+        "element": _cells(element),
+        "matrix": _cells(mat),
     }
 
 

@@ -7,11 +7,14 @@ c_0 + c_1*p + ... + c_{r-1}*p^{r-1}; matrices store packed values in a dense
 integer array.
 
 Row reduction, kernel, inverse and power are written once, over four
-packed-array ops of FieldCtx (submul, mul, neg, matmul).  Those ops are the
-only array code that depends on r: for r = 1 they are mod-p numpy arithmetic,
-for r > 1 they index the ADD/MUL/NEG lookup tables.  The *_array functions
-are the prime-field entry points on plain residue arrays.  Everything is
-exact; there is no floating point anywhere.
+packed-array ops of FieldCtx (submul, mul, neg, matmul), the only array code
+that depends on r.  For r = 1 all arithmetic is plain mod-p integer code.  For
+r > 1 the ADD/MUL/NEG lookup tables of FieldCtx.tables, built with numpy from
+the modulus, define it: the scalar ops (padd, pneg, pmul) and the array ops
+both index them.  Tables are built only for q <= TABLE_MAX_Q = 2048; a larger
+field raises ValueError.  The *_array functions are the prime-field entry
+points on plain residue arrays.  Everything is exact; there is no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ __all__ = [
     "inv_array",
     "matpow_array",
 ]
+
+
+# largest q whose (q, q) lookup tables are built (at most 2^22 cells each)
+TABLE_MAX_Q = 2048
 
 
 def _is_prime(n):
@@ -116,15 +123,8 @@ def make_field(p, r=1):
             break
     if zeta is None:  # p = 3 gives zeta = 2; every prime has one
         raise RuntimeError(f"no primitive root found mod {p}")
-    if r == 1:
-        modulus = (0, 1)
-    else:
-        modulus = None
-        for tail in itertools.product(range(p), repeat=r):
-            f = list(tail) + [1]
-            if _is_irreducible(f, p):
-                modulus = tuple(f)
-                break
+    monic = (tail + (1,) for tail in itertools.product(range(p), repeat=r))
+    modulus = next(f for f in monic if _is_irreducible(f, p))  # x when r = 1
     return FieldCtx(p, r, modulus, zeta)
 
 
@@ -137,6 +137,7 @@ class FieldCtx:
         self.q = p**r
         self.modulus = tuple(modulus)
         self.zeta = zeta
+        self._place = p ** np.arange(r, dtype=np.int64)  # digit k has weight p^k
         if len(self.modulus) != r + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree r")
 
@@ -157,64 +158,35 @@ class FieldCtx:
     # -- packed-integer scalar arithmetic ---------------------------------
 
     def pack(self, coeffs):
-        coeffs = tuple(int(c) % self.p for c in coeffs)
+        coeffs = [int(c) % self.p for c in coeffs]
         if len(coeffs) > self.r:
             raise ValueError("too many coefficients")
-        coeffs = coeffs + (0,) * (self.r - len(coeffs))
         return sum(c * self.p**i for i, c in enumerate(coeffs))
 
     def unpack(self, v):
-        out = []
-        for _ in range(self.r):
-            v, c = divmod(v, self.p)
-            out.append(c)
-        return tuple(out)
+        return tuple(self.unpack_array(v).tolist())
 
-    @cached_property
-    def _reduction(self):
-        # coefficient rows of x^(r+s) mod modulus for s = 0 .. r-2
-        p, r = self.p, self.r
-        top = [(-c) % p for c in self.modulus[:r]]
-        rows = [list(top)]
-        cur = list(top)
-        for _ in range(r - 2):
-            carry = cur[-1]
-            cur = [0] + cur[:-1]
-            if carry:
-                cur = [(a + carry * t) % p for a, t in zip(cur, top)]
-            rows.append(list(cur))
-        return rows
+    def unpack_array(self, X):
+        """Digits of packed values along a new trailing axis of length r."""
+        return np.asarray(X, dtype=np.int64)[..., None] // self._place % self.p
 
     def padd(self, a, b):
         if self.r == 1:
             return (a + b) % self.p
-        ca, cb = self.unpack(a), self.unpack(b)
-        return self.pack([(x + y) % self.p for x, y in zip(ca, cb)])
+        return int(self.tables[0][a, b])
 
     def pneg(self, a):
         if self.r == 1:
             return (-a) % self.p
-        return self.pack([(-x) % self.p for x in self.unpack(a)])
+        return int(self.tables[2][a])
 
     def psub(self, a, b):
         return self.padd(a, self.pneg(b))
 
     def pmul(self, a, b):
-        p, r = self.p, self.r
-        if r == 1:
-            return a * b % p
-        ca, cb = self.unpack(a), self.unpack(b)
-        conv = [0] * (2 * r - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        out = conv[:r]
-        for s, row in enumerate(self._reduction):
-            c = conv[r + s] if r + s < len(conv) else 0
-            if c:
-                out = [(a0 + c * b0) % p for a0, b0 in zip(out, row)]
-        return self.pack(out)
+        if self.r == 1:
+            return a * b % self.p
+        return int(self.tables[1][a, b])
 
     def ppow(self, a, n):
         if n < 0:
@@ -236,18 +208,21 @@ class FieldCtx:
 
     @cached_property
     def tables(self):
-        """(ADD, MUL, NEG) lookup arrays over packed values; r > 1 matrix ops."""
-        q = self.q
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            neg[a] = self.pneg(a)
-            for b in range(a, q):
-                s, m = self.padd(a, b), self.pmul(a, b)
-                add[a, b] = add[b, a] = s
-                mul[a, b] = mul[b, a] = m
-        return add, mul, neg
+        """(ADD, MUL, NEG) lookup arrays over packed values."""
+        p, r, q = self.p, self.r, self.q
+        if q > TABLE_MAX_Q:
+            raise ValueError(f"{self!r} has q = {q}; lookup tables need q <= {TABLE_MAX_Q}")
+        digits = self.unpack_array(np.arange(q))
+        # row k of the companion matrix holds the digits of x * x^k
+        companion = np.eye(r, k=1, dtype=np.int64)
+        companion[-1] = [(-c) % p for c in self.modulus[:r]]
+        prod = np.zeros((q, q, r), dtype=np.int64)
+        shifted = digits  # shifted[a] holds the digits of a * x^k
+        for k in range(r):
+            prod += shifted[:, None, :] * digits[None, :, k, None]
+            shifted = shifted @ companion % p
+        add = digits[:, None, :] + digits[None, :, :]
+        return add % p @ self._place, prod % p @ self._place, -digits % p @ self._place
 
     # -- packed-array ops; the only array code that depends on r ------------
 

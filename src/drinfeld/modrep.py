@@ -5,8 +5,9 @@ matrices, with no shared formulas: restrictions to the Borel subgroup are
 split by Jordan and eigenvalue analysis, composition factors over the full
 group come from an iterated socle computation, induction is realized through
 an explicit coset transversal, and the Cartan system ties the correspondent
-factor tables back to oracle counts.  All arithmetic is exact (int64 mod p,
-Fractions for the Cartan solve).
+factor tables back to oracle counts.  All arithmetic is exact: int64 mod p,
+with every mod-p product taken by FieldCtx.matmul, and Fractions for the
+Cartan solve.
 """
 
 from __future__ import annotations
@@ -114,17 +115,17 @@ class ModuleRep:
         if not np.array_equal(matpow_array(arr["t"], p - 1, p), eye):
             raise ValueError("rho(t)^(p-1) != I")
         tinv = inv_array(arr["t"], p)
-        lhs = (arr["t"] @ arr["u"] % p) @ tinv % p
+        lhs = ctx.matmul(ctx.matmul(arr["t"], arr["u"]), tinv)
         rhs = matpow_array(arr["u"], pow(ctx.zeta, 2, p), p)
         if not np.array_equal(lhs, rhs):
             raise ValueError("rho(t) rho(u) rho(t)^-1 != rho(u)^(zeta^2)")
         if "w" in arr:
             if not np.array_equal(
-                arr["w"] @ arr["w"] % p, matpow_array(arr["t"], (p - 1) // 2, p)
+                ctx.matmul(arr["w"], arr["w"]), matpow_array(arr["t"], (p - 1) // 2, p)
             ):
                 raise ValueError("rho(w)^2 != rho(t)^((p-1)/2)")
             winv = inv_array(arr["w"], p)
-            lhs = (arr["w"] @ arr["t"] % p) @ winv % p
+            lhs = ctx.matmul(ctx.matmul(arr["w"], arr["t"]), winv)
             if not np.array_equal(lhs, matpow_array(arr["t"], p - 2, p)):
                 raise ValueError("rho(w) rho(t) rho(w)^-1 != rho(t)^-1")
         return self
@@ -280,20 +281,20 @@ def _row_space(A, p):
     return R[: len(piv)], piv
 
 
-def _left_kernel_within(rows, N, p):
+def _left_kernel_within(rows, N, ctx):
     """Basis rows of {v in rowspace(rows) : v N = 0}."""
     if rows.shape[0] == 0:
         return rows
-    C = rows @ N % p
-    K = kernel_array(C.T, p)  # columns alpha with alpha . C = 0
-    return K.T @ rows % p
+    C = ctx.matmul(rows, N)
+    K = kernel_array(C.T, ctx.p)  # columns alpha with alpha . C = 0
+    return ctx.matmul(K.T, rows)
 
 
-def _is_row_stable(rows, mat, p):
+def _is_row_stable(rows, mat, ctx):
     if rows.shape[0] == 0:
         return True
-    stacked = np.vstack([rows, rows @ mat % p])
-    return rank_array(stacked, p) == rows.shape[0]
+    stacked = np.vstack([rows, ctx.matmul(rows, mat)])
+    return rank_array(stacked, ctx.p) == rows.shape[0]
 
 
 def decompose_b_oracle(mod):
@@ -316,7 +317,7 @@ def decompose_b_oracle(mod):
     N = (arr["u"] - eye) % p
     npow = [eye]
     for _ in range(p):
-        npow.append(npow[-1] @ N % p)
+        npow.append(ctx.matmul(npow[-1], N))
     ranks = [rank_array(A, p) for A in npow]
     blocks_ge = [ranks[b - 1] - ranks[b] for b in range(1, p + 1)] + [0]
     if any(blocks_ge[i] < blocks_ge[i + 1] for i in range(p)):
@@ -325,20 +326,20 @@ def decompose_b_oracle(mod):
         raise InconsistencyError("Jordan block sizes do not sum to the dimension")
     for s in range(1, p):
         ker = kernel_array(npow[s].T, p).T  # rows v with v N^s = 0
-        if not _is_row_stable(ker, arr["t"], p):
+        if not _is_row_stable(ker, arr["t"], ctx):
             raise InconsistencyError(f"rho(t) does not stabilize ker(N^{s})")
     out = {}
     prev = {a: 0 for a in range(p - 1)}
     for b in range(p, 0, -1):
         rows, _ = _row_space(npow[b - 1], p)
-        socle = _left_kernel_within(rows, N, p)
+        socle = _left_kernel_within(rows, N, ctx)
         socle, spiv = _row_space(socle, p)
         d = socle.shape[0]
         if d != blocks_ge[b - 1]:
             raise InconsistencyError(
                 f"socle slice at b={b} has dim {d}, expected {blocks_ge[b - 1]}"
             )
-        st = socle @ arr["t"] % p
+        st = ctx.matmul(socle, arr["t"])
         if rank_array(np.vstack([socle, st]), p) != d:
             raise InconsistencyError(f"rho(t) does not stabilize the b={b} socle slice")
         tb = st[:, spiv]
@@ -369,16 +370,17 @@ def _hom_basis(src, dst):
         raise ValueError("modules live over different fields")
     if set(src.gens) != set(dst.gens):
         raise ValueError("generator sets differ; restrict first")
-    p = src.field.p
     s, m = src.dim, dst.dim
+    sm = s * m
     eye_s = np.eye(s, dtype=np.int64)
     eye_m = np.eye(m, dtype=np.int64)
-    blocks = []
-    for name in sorted(src.gens):
-        A = src.gens[name].data
-        B = dst.gens[name].data
-        blocks.append((np.kron(A, eye_m) - np.kron(eye_s, B.T)) % p)
-    K = kernel_array(np.vstack(blocks), p)
+    # one stacked system, filled in place; kernel_array reduces it mod p
+    system = np.empty((len(src.gens) * sm, sm), dtype=np.int64)
+    for k, name in enumerate(sorted(src.gens)):
+        block = system[k * sm : (k + 1) * sm]
+        block[:] = np.kron(src.gens[name].data, eye_m)
+        block -= np.kron(eye_s, dst.gens[name].data.T)
+    K = kernel_array(system, src.field.p)
     return [K[:, i].reshape(s, m) for i in range(K.shape[1])]
 
 
@@ -427,7 +429,7 @@ def comp_factors_oracle(mod, force=False):
         binv = inv_array(basis, p)
         gens = {}
         for name, mat in cur.gens.items():
-            full = (basis @ mat.data % p) @ binv % p
+            full = ctx.matmul(ctx.matmul(basis, mat.data), binv)
             if np.any(full[:k, k:]):
                 raise InconsistencyError("socle is not invariant; basis change failed")
             gens[name] = FqMatrix(ctx, full[k:, k:])
@@ -480,10 +482,10 @@ def induce_to_g(mod, p=None, transversal=None):
     arr = mod.arrays()
     tpow = [np.eye(mod.dim, dtype=np.int64)]
     for _ in range(p - 2):
-        tpow.append(tpow[-1] @ arr["t"] % p)
+        tpow.append(ctx.matmul(tpow[-1], arr["t"]))
     upow = [np.eye(mod.dim, dtype=np.int64)]
     for _ in range(p - 1):
-        upow.append(upow[-1] @ arr["u"] % p)
+        upow.append(ctx.matmul(upow[-1], arr["u"]))
     dm = mod.dim
     dim = (p + 1) * dm
     gens = {}
@@ -497,8 +499,8 @@ def induce_to_g(mod, p=None, transversal=None):
                 raise InconsistencyError("coset bookkeeping produced a non-B factor")
             e = ctx.dlog(b.alpha.val)
             nshift = (b.beta / b.alpha).val
-            big[i * dm : (i + 1) * dm, j * dm : (j + 1) * dm] = (
-                tpow[e] @ upow[nshift] % p
+            big[i * dm : (i + 1) * dm, j * dm : (j + 1) * dm] = ctx.matmul(
+                tpow[e], upow[nshift]
             )
         gens[name] = FqMatrix(ctx, big)
     return ModuleRep(ctx, dim, gens).validate()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -41,6 +42,31 @@ def test_basis_text_header_and_rows():
     assert lines[0] == "q=3 m=2 dim=6"
     assert lines[1] == "w(0,0)  degree 0"
     assert len(lines) == 7
+
+
+# sha256 of stdout for `action` over GF(9) and GF(27), in every format
+GOLDEN_ACTION_EXT_SHA256 = {
+    ("--p 3 --r 2 --m 2 --element 0,1 1 1 0,1", "json"):
+        "6424b4530c83c1e57beeed0ec78f9677caceed01f6e3b7e576076aea44d63b3c",
+    ("--p 3 --r 3 --m 2 --element 0,1,0 1 1 0,2,1", "json"):
+        "6d710ebbcb3f0050a24f52636a338d125df2a8279816ff96f902f4ec6d150f69",
+    ("--p 3 --r 2 --m 2 --element 0,1 1 1 0,1", "csv"):
+        "8cc8a4ebb04c8fdf6c6b60640e2277c3e3fd3680a556606fe04209edd2b05a07",
+    ("--p 3 --r 3 --m 2 --element 0,1,0 1 1 0,2,1", "csv"):
+        "78d97100bd1f9f5b4cc68121fa502c885c5bc10c3c5fe74a480d89d1a98dc1b3",
+    ("--p 3 --r 2 --m 2 --element 0,1 1 1 0,1", "text"):
+        "6cd35faf09e3f2aa8c42e40925a11cc61d31e96a831be69d38a6ed9bd39b12e2",
+    ("--p 3 --r 3 --m 2 --element 0,1,0 1 1 0,2,1", "text"):
+        "477dc8b9e3c648a063b7ac75ed8cf65417ed6a43451ca5b41918e2d1e8eca484",
+}
+
+
+@pytest.mark.parametrize("args,fmt", sorted(GOLDEN_ACTION_EXT_SHA256))
+def test_action_extension_field_golden_sha256(args, fmt):
+    status, out = _capture(["action", *args.split(), "--format", fmt])
+    assert status == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_ACTION_EXT_SHA256[(args, fmt)]
 
 
 # -- JSON structure -------------------------------------------------------------
@@ -225,6 +251,7 @@ def test_exit_2_on_invalid_inputs(capsys):
         ["verify", "--p", "3", "--r", "2", "--m", "2"],
         ["sweep", "--p-values", "3,x"],
         ["sweep", "--m-values", "2,y"],
+        ["action", "--p", "3", "--r", "7", "--m", "1", "--element", "1", "0", "0", "1"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

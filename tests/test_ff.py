@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from drinfeld.ff import (
     FqMatrix,
+    _poly_mul,
+    _poly_rem,
     inv,
     kernel_array,
     kernel_basis,
@@ -138,6 +140,27 @@ def test_pow_matches_repeated_multiplication():
         for n in range(8):
             assert a**n == acc
             acc = acc * a
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)])
+def test_tables_match_polynomial_arithmetic(p, r):
+    ctx = make_field(p, r)
+    add, mul, neg = ctx.tables
+    digits = [ctx.unpack(a) for a in range(ctx.q)]
+    for a, da in enumerate(digits):
+        assert neg[a] == ctx.pack([-x % p for x in da])
+        for b, db in enumerate(digits):
+            assert add[a, b] == ctx.pack([(x + y) % p for x, y in zip(da, db)])
+            want = ctx.pack(_poly_rem(_poly_mul(da, db, p), ctx.modulus, p))
+            assert mul[a, b] == want
+
+
+def test_tables_refuse_fields_above_the_bound():
+    ctx = make_field(3, 7)  # q = 2187
+    with pytest.raises(ValueError, match="q <= 2048"):
+        ctx.tables
+    with pytest.raises(ValueError, match="q <= 2048"):
+        ctx.pmul(1, 1)
 
 
 # -- array-level linear algebra ---------------------------------------------
