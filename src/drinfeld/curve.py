@@ -10,11 +10,14 @@ A distinguished subfamily is linearly independent of the right cardinality;
 every other holomorphic w(i, j) collapses onto it through the single curve
 relation x*y^q = x^q*y + 1.  All coordinates live in GF(p) regardless of r,
 while action matrices have entries in GF(q).
+
+Action matrices are built degree by degree from linear_form_powers, the images
+x^i y^j -> (alpha x + beta y)^i (gamma x + delta y)^j computed with FieldCtx
+array ops; the same powers give modrep's simple modules V_t = Sym^(t-1).
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -31,9 +34,14 @@ __all__ = [
     "enumerate_basis",
     "degree",
     "reduce_to_basis",
+    "linear_form_powers",
     "action_matrix",
     "graded_basis",
 ]
+
+
+# largest action matrix built, in cells: n <= 5792, 256 MiB of int64
+ACTION_MAX_CELLS = 2**25
 
 
 def _prime_power(q):
@@ -213,63 +221,54 @@ class GroupElement:
         return f"[[{a!r}, {b!r}], [{c!r}, {d!r}]]"
 
 
+def linear_form_powers(sigma, top):
+    """Entry d (d = 0..top) is a (d + 1, d + 1) packed array whose row j holds
+    (alpha x + beta y)^(d-j) (gamma x + delta y)^j, column k its coefficient
+    of x^(d-k) y^k.  Rows 0..d of entry d + 1 are entry d times
+    (alpha x + beta y); its last row is the last row of entry d times
+    (gamma x + delta y)."""
+    ctx = sigma.ctx
+    alpha, beta, gamma, delta = (e.val for e in sigma.entries())
+    neg_beta, neg_delta = ctx.neg(np.array([beta, delta]))
+    powers = [np.ones((1, 1), dtype=np.int64)]
+    for d in range(1, top + 1):
+        prev = np.vstack([powers[-1], powers[-1][-1:]])
+        x_coeff = np.array([alpha] * d + [gamma])[:, None]
+        neg_y_coeff = np.array([neg_beta] * d + [neg_delta])[:, None]
+        nxt = np.zeros((d + 1, d + 1), dtype=np.int64)
+        nxt[:, :d] = ctx.mul(x_coeff, prev)
+        nxt[:, 1:] = ctx.submul(nxt[:, 1:], neg_y_coeff, prev)
+        powers.append(nxt)
+    return powers
+
+
 def action_matrix(sigma, basis):
     """Matrix of the right action of sigma on the basis (rows are images).
 
     Row k holds the basis coordinates of w_k . sigma, so composites satisfy
-    M(sigma*tau) = M(sigma) @ M(tau).
+    M(sigma*tau) = M(sigma) @ M(tau).  The rows of total degree d are the
+    linear-form powers of degree d times the stacked reductions of the d + 1
+    monomials of that degree.
     """
     ctx = sigma.ctx
     if (ctx.p, ctx.r) != (basis.p, basis.r):
         raise ValueError(
             f"group element over GF({ctx.q}) does not match basis over GF({basis.q})"
         )
-    p = ctx.p
     n = len(basis)
-    a, b = sigma.alpha.val, sigma.beta.val
-    c, d = sigma.gamma.val, sigma.delta.val
-    top = basis.max_total
-    pow_a = [ctx.pack([1])]
-    pow_b = [ctx.pack([1])]
-    pow_c = [ctx.pack([1])]
-    pow_d = [ctx.pack([1])]
-    for _ in range(top):
-        pow_a.append(ctx.pmul(pow_a[-1], a))
-        pow_b.append(ctx.pmul(pow_b[-1], b))
-        pow_c.append(ctx.pmul(pow_c[-1], c))
-        pow_d.append(ctx.pmul(pow_d[-1], d))
+    if n * n > ACTION_MAX_CELLS:
+        raise ValueError(f"action matrix of dimension {n} exceeds {ACTION_MAX_CELLS} cells")
+    ij = np.array(basis.indices, dtype=np.int64)
+    total = ij.sum(axis=1)
     out = np.zeros((n, n), dtype=np.int64)
     memo = {}
-    for row, (i, j) in enumerate(basis.indices):
-        # (a x + b y)^i (c x + d y)^j expanded monomial by monomial
-        acc = {}
-        for s in range(i + 1):
-            ca = math.comb(i, s) % p
-            if ca == 0:
-                continue
-            left = ctx.pmul(pow_a[s], pow_b[i - s])
-            if left == 0:
-                continue
-            for t in range(j + 1):
-                cb = math.comb(j, t) % p
-                if cb == 0:
-                    continue
-                val = ctx.pmul(left, ctx.pmul(pow_c[t], pow_d[j - t]))
-                val = ctx.pmul(val, ca * cb % p)
-                if val == 0:
-                    continue
-                key = (s + t, i + j - s - t)
-                prev = acc.get(key)
-                acc[key] = val if prev is None else ctx.padd(prev, val)
-        rowvec = np.zeros(n, dtype=np.int64)
-        for (i2, j2), coeff in acc.items():
-            if coeff == 0:
-                continue
-            # reduction coordinates are prime-subfield constants, whose
-            # packed form is the residue itself
-            red = _reduce(i2, j2, basis, memo)
-            rowvec = ctx.submul(rowvec, ctx.neg(coeff), red)
-        out[row] = rowvec
+    for d, image in enumerate(linear_form_powers(sigma, basis.max_total)):
+        rows = np.flatnonzero(total == d)
+        # reduction coordinates are prime-subfield constants, whose packed
+        # form is the residue itself; they stay inside one grading block
+        red = np.stack([_reduce(d - k, k, basis, memo) for k in range(d + 1)])
+        cols = np.flatnonzero(red.any(axis=0))
+        out[np.ix_(rows, cols)] = ctx.matmul(image[ij[rows, 1]], red[:, cols])
     return FqMatrix(ctx, out)
 
 

@@ -10,11 +10,13 @@ Row reduction, kernel, inverse and power are written once, over four
 packed-array ops of FieldCtx (submul, mul, neg, matmul), the only array code
 that depends on r.  For r = 1 all arithmetic is plain mod-p integer code.  For
 r > 1 the ADD/MUL/NEG lookup tables of FieldCtx.tables, built with numpy from
-the modulus, define it: the scalar ops (padd, pneg, pmul) and the array ops
-both index them.  Tables are built only for q <= TABLE_MAX_Q = 2048; a larger
-field raises ValueError.  The *_array functions are the prime-field entry
-points on plain residue arrays.  Everything is exact; there is no floating
-point anywhere.
+the modulus, define it: the scalar ops (padd, pneg, pmul) and submul, mul and
+neg index them.  matmul sums r int64 products A_k @ (B * x^k) over the digit
+planes A_k of A, with the shifts B * x^k from FieldCtx._shifts, which also
+builds the MUL table.  Tables are built only for q <= TABLE_MAX_Q = 2048; a
+larger field raises ValueError.  The *_array functions are the prime-field
+entry points on plain residue arrays.  Everything is exact; there is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -213,16 +215,21 @@ class FieldCtx:
         if q > TABLE_MAX_Q:
             raise ValueError(f"{self!r} has q = {q}; lookup tables need q <= {TABLE_MAX_Q}")
         digits = self.unpack_array(np.arange(q))
-        # row k of the companion matrix holds the digits of x * x^k
-        companion = np.eye(r, k=1, dtype=np.int64)
-        companion[-1] = [(-c) % p for c in self.modulus[:r]]
         prod = np.zeros((q, q, r), dtype=np.int64)
-        shifted = digits  # shifted[a] holds the digits of a * x^k
-        for k in range(r):
+        for k, shifted in enumerate(self._shifts(digits)):
             prod += shifted[:, None, :] * digits[None, :, k, None]
-            shifted = shifted @ companion % p
         add = digits[:, None, :] + digits[None, :, :]
         return add % p @ self._place, prod % p @ self._place, -digits % p @ self._place
+
+    def _shifts(self, digits):
+        """Digits of X * x^k for k = 0..r-1, given the digits of X (last axis)."""
+        # row k of the companion matrix holds the digits of x * x^k
+        companion = np.eye(self.r, k=1, dtype=np.int64)
+        companion[-1] = [(-c) % self.p for c in self.modulus[:self.r]]
+        yield digits
+        for _ in range(self.r - 1):
+            digits = digits @ companion % self.p
+            yield digits
 
     # -- packed-array ops; the only array code that depends on r ------------
 
@@ -247,11 +254,12 @@ class FieldCtx:
     def matmul(self, A, B):
         if self.r == 1:
             return A @ B % self.p
-        add, mul, _ = self.tables
-        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-        for k in range(A.shape[1]):
-            out = add[out, mul[A[:, k][:, None], B[k][None, :]]]
-        return out
+        (rows, inner), cols, r = A.shape, B.shape[1], self.r
+        planes = self.unpack_array(A)
+        out = np.zeros((rows, cols * r), dtype=np.int64)
+        for k, shifted in enumerate(self._shifts(self.unpack_array(B))):
+            out += planes[:, :, k] @ shifted.reshape(inner, cols * r)
+        return out.reshape(rows, cols, r) % self.p @ self._place
 
     @cached_property
     def _dlog(self):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import closedform
 from .closedform import BLabel, InconsistencyError
-from .curve import BasisSet, GroupElement, action_matrix, dim_h0
+from .curve import BasisSet, GroupElement, action_matrix, dim_h0, linear_form_powers
 from .ff import (
     FqMatrix,
     inv_array,
@@ -191,25 +191,6 @@ def h0_module(p, m):
     return ModuleRep(ctx, len(basis), gens).validate()
 
 
-def _linear_power_rows(sigma, n, p):
-    """Coefficient rows of (alpha x + beta y)^i (gamma x + delta y)^j for a
-    degree-(n-1) monomial basis x^(n-1-k) y^k, k = 0..n-1."""
-    a, b = int(sigma.alpha.val), int(sigma.beta.val)
-    c, d = int(sigma.gamma.val), int(sigma.delta.val)
-
-    def binexp(x0, x1, e):
-        return np.array(
-            [math.comb(e, s) * pow(x0, e - s, p) * pow(x1, s, p) % p for s in range(e + 1)],
-            dtype=np.int64,
-        )
-
-    rows = np.zeros((n, n), dtype=np.int64)
-    for k in range(n):
-        row = np.convolve(binexp(a, b, n - 1 - k), binexp(c, d, k)) % p
-        rows[k] = row
-    return rows
-
-
 def simple_module(t, p):
     """The simple V_t: homogeneous degree t-1 polynomials, basis
     x^(t-1-k) y^k for k = 0..t-1."""
@@ -217,7 +198,7 @@ def simple_module(t, p):
     if not 1 <= t <= p:
         raise ValueError(f"t must lie in [1, {p}], got {t}")
     gens = {
-        name: FqMatrix(ctx, _linear_power_rows(g, t, p))
+        name: FqMatrix(ctx, linear_form_powers(g, t - 1)[-1])
         for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx)))
     }
     return ModuleRep(ctx, t, gens).validate()

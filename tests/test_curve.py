@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from drinfeld.curve import (
     reduce_to_basis,
 )
 from drinfeld.ff import FqMatrix
+from drinfeld.modrep import simple_module, t_gen, u_gen, w_gen
 from helpers import field, random_sl2
 
 
@@ -242,6 +244,74 @@ def test_action_is_group_homomorphism_random():
                 Ms, Mt = action_matrix(s, basis), action_matrix(t, basis)
                 assert action_matrix(s * t, basis) == Ms @ Mt
                 assert Ms @ action_matrix(s.inverse(), basis) == eye
+
+
+def _scalar_action_rows(sigma, basis):
+    """Reference action matrix: each row (alpha x + beta y)^i (gamma x + delta y)^j
+    expanded by binomial sums over FqElem, then reduced monomial by monomial."""
+    ctx = sigma.ctx
+    a, b, c, d = sigma.entries()
+
+    def binomial_terms(x0, x1, e):
+        # coefficient of x^s y^(e-s) in (x0 x + x1 y)^e, for s = 0..e
+        return [x0**s * x1 ** (e - s) * math.comb(e, s) for s in range(e + 1)]
+
+    first = [binomial_terms(a, b, e) for e in range(basis.max_total + 1)]
+    second = [binomial_terms(c, d, e) for e in range(basis.max_total + 1)]
+    rows = []
+    for i, j in basis.indices:
+        coeff = {}
+        for s, left in enumerate(first[i]):
+            for t, right in enumerate(second[j]):
+                key = (s + t, i + j - s - t)
+                coeff[key] = coeff.get(key, ctx.zero) + left * right
+        row = [ctx.zero] * len(basis)
+        for (i2, j2), e in coeff.items():
+            red = reduce_to_basis(i2, j2, basis)
+            for k in np.flatnonzero(red):
+                row[k] = row[k] + e * int(red[k])
+        rows.append([e.val for e in row])
+    return rows
+
+
+def test_action_matrix_matches_scalar_expansion():
+    rng = random.Random(5)
+    for q, m in [(3, 2), (5, 2), (7, 2), (9, 2), (27, 1)]:
+        basis = enumerate_basis(q, m)
+        ctx = field(basis.p, basis.r)
+        sigmas = [u_gen(ctx), t_gen(ctx), w_gen(ctx)]
+        sigmas += [random_sl2(ctx, rng) for _ in range(2)]
+        for sigma in sigmas:
+            assert action_matrix(sigma, basis).tolist() == _scalar_action_rows(sigma, basis)
+
+
+def _binomial_power_rows(sigma, n, p):
+    # row k: coefficients of (a x + b y)^(n-1-k) (c x + d y)^k, column s
+    # holding x^(n-1-s) y^s
+    a, b = int(sigma.alpha.val), int(sigma.beta.val)
+    c, d = int(sigma.gamma.val), int(sigma.delta.val)
+
+    def binexp(x0, x1, e):
+        return np.array(
+            [math.comb(e, s) * pow(x0, e - s, p) * pow(x1, s, p) % p for s in range(e + 1)],
+            dtype=np.int64,
+        )
+
+    return [
+        (np.convolve(binexp(a, b, n - 1 - k), binexp(c, d, k)) % p).tolist()
+        for k in range(n)
+    ]
+
+
+def test_simple_module_matches_binomial_rows():
+    for p in (3, 5, 7, 11, 13):
+        ctx = field(p)
+        gens = {"u": u_gen(ctx), "t": t_gen(ctx), "w": w_gen(ctx)}
+        for t in range(1, p + 1):
+            module = simple_module(t, p)
+            assert set(module.gens) == set(gens)
+            for name, g in gens.items():
+                assert module.gens[name].tolist() == _binomial_power_rows(g, t, p)
 
 
 def test_graded_sizes_examples():

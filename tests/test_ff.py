@@ -246,6 +246,30 @@ def test_fqmatrix_matmul_matches_elementwise_r2():
                 assert C[i, j] == want
 
 
+@pytest.mark.parametrize("p,r", [(3, 3), (5, 2), (7, 2), (3, 4)])
+def test_fqmatrix_matmul_matches_scalar_sums(p, r):
+    ctx = make_field(p, r)
+    rng = random.Random(p * 10 + r)
+    shapes = [(3, 4, 2), (6, 5, 7), (1, 8, 1), (0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)]
+
+    def random_matrix(rows, cols):
+        elems = [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rows)]
+        vals = np.array([e.val for row in elems for e in row], dtype=np.int64)
+        return elems, FqMatrix(ctx, vals.reshape(rows, cols))
+
+    for rows, inner, cols in shapes:
+        A, MA = random_matrix(rows, inner)
+        B, MB = random_matrix(inner, cols)
+        C = MA @ MB
+        assert C.shape == (rows, cols)
+        for i in range(rows):
+            for j in range(cols):
+                want = ctx.zero
+                for k in range(inner):
+                    want = want + A[i][k] * B[k][j]
+                assert C[i, j] == want
+
+
 def test_fqmatrix_inverse_round_trip():
     rng = random.Random(13)
     for p, r in [(5, 1), (3, 2)]:
