@@ -34,6 +34,7 @@ from .modrep import (
     GuardError,
     ModuleRep,
     cartan_check,
+    comp_factors_brauer,
     comp_factors_oracle,
     decompose_b_oracle,
     h0_module,
@@ -74,6 +75,7 @@ __all__ = [
     "GuardError",
     "ModuleRep",
     "cartan_check",
+    "comp_factors_brauer",
     "comp_factors_oracle",
     "decompose_b_oracle",
     "h0_module",

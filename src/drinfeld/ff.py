@@ -69,15 +69,6 @@ def _poly_trim(a):
     return a
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
 def _poly_rem(a, b, p):
     # remainder of a mod b; b monic
     a = list(a)

@@ -2,12 +2,16 @@
 
 Every table closedform produces is re-derived here from explicit generator
 matrices, with no shared formulas: restrictions to the Borel subgroup are
-split by Jordan and eigenvalue analysis, composition factors over the full
-group come from an iterated socle computation, induction is realized through
-an explicit coset transversal, and the Cartan system ties the correspondent
-factor tables back to oracle counts.  All arithmetic is exact: int64 mod p,
-with every mod-p product taken by FieldCtx.matmul, and Fractions for the
-Cartan solve.
+split by Jordan and eigenvalue analysis, and induction is realized through
+an explicit coset transversal.  Composition factors over the full group come
+from Brauer characters: every p-regular element of SL2(p) is conjugate into
+the split torus <t> or a non-split torus <c>, so eigenvalue counts of rho(t)
+and rho(c) (ranks mod p) fix the factors, solved against the same counts of
+V_1..V_p.  verify_full and cartan_check use them; the iterated-socle oracle
+comp_factors_oracle is kept as the small-size cross-check.  The Cartan system
+ties the correspondent factor tables back to oracle counts.  All arithmetic
+is exact: int64 mod p, with every mod-p product taken by FieldCtx.matmul, and
+Fractions for the Brauer and Cartan solves.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +56,7 @@ __all__ = [
     "decompose_b_oracle",
     "hom_dim",
     "comp_factors_oracle",
+    "comp_factors_brauer",
     "default_transversal",
     "induce_to_g",
     "cartan_check",
@@ -419,6 +425,74 @@ def comp_factors_oracle(mod, force=False):
     return out.validate(mod.dim)
 
 
+@lru_cache(maxsize=None)
+def _nonsplit_traces(p):
+    """The smallest a for which c = u^a w has order p + 1, with the traces
+    tau_k = lambda^k + lambda^-k (mod p) of c^k on the natural module for
+    k = 0..p+1; lambda, a root of x^2 + a x + 1, has order p + 1 exactly
+    when tau first returns to 2 at k = p + 1."""
+    for a in range(p):
+        tau = [2, -a % p]
+        while tau[-1] != 2:
+            tau.append((tau[1] * tau[-1] - tau[-2]) % p)
+        if len(tau) == p + 2:
+            return a, tuple(tau)
+
+
+def _brauer_counts(mod):
+    """Eigenvalue counts of the split torus generator t and of the non-split
+    c = u^a w, which fix the Brauer character of a G-module.
+
+    The split part is dim ker(rho(t) - zeta^a) for a = 0..p-2.  The eigenvalues
+    of rho(c) are powers lambda^k in F_{p^2}, and lambda^k, lambda^-k are
+    Frobenius conjugates with equal multiplicity, so the non-split part is
+    dim ker(C - I), dim ker(C + I), then the multiplicity of each pair,
+    (n - rank(C^2 - tau_k C + I)) / 2 for k = 1..(p-1)/2.
+    """
+    ctx = mod.field
+    p, n = ctx.p, mod.dim
+    arr = mod.arrays()
+    eye = np.eye(n, dtype=np.int64)
+    split = [n - rank_array(arr["t"] - pow(ctx.zeta, a, p) * eye, p) for a in range(p - 1)]
+    if sum(split) != n:
+        raise InconsistencyError(f"rho(t) eigenspaces span {sum(split)} of {n} dimensions")
+    a, tau = _nonsplit_traces(p)
+    C = ctx.matmul(matpow_array(arr["u"], a, p), arr["w"])
+    C2 = ctx.matmul(C, C)
+    nonsplit = [n - rank_array(C - eye, p), n - rank_array(C + eye, p)]
+    for k in range(1, (p + 1) // 2):
+        free = n - rank_array(C2 - tau[k] * C + eye, p)
+        if free % 2:
+            raise InconsistencyError(f"odd eigenvalue-pair count {free} of rho(c) at k={k}")
+        nonsplit.append(free // 2)
+    if nonsplit[0] + nonsplit[1] + 2 * sum(nonsplit[2:]) != n:
+        raise InconsistencyError(f"rho(c) eigenspaces do not span {n} dimensions")
+    return tuple(split + nonsplit)
+
+
+@lru_cache(maxsize=None)
+def _simple_brauer_counts(p):
+    """Count vectors of V_1..V_p, one tuple per simple."""
+    return tuple(_brauer_counts(simple_module(t, p)) for t in range(1, p + 1))
+
+
+def _factors_from_counts(counts, p, dim):
+    """Solve counts = sum_t d_t counts(V_t) exactly; the extra rows of the
+    overdetermined system must agree, and validate rejects negative d_t."""
+    system = [list(row) for row in zip(*_simple_brauer_counts(p))]
+    x = _solve_exact(system, counts)
+    if any(v.denominator != 1 for v in x):
+        raise InconsistencyError(f"Brauer counts solve to {[str(v) for v in x]}, not integers")
+    return CompFactorVector(p, {t: int(v) for t, v in enumerate(x, 1)}).validate(dim)
+
+
+def comp_factors_brauer(mod):
+    """Composition factors of a G-module from its Brauer character."""
+    if mod.group != "G":
+        raise ValueError("comp_factors_brauer expects a G-module")
+    return _factors_from_counts(_brauer_counts(mod), mod.field.p, mod.dim)
+
+
 def default_transversal(ctx):
     """Canonical coset representatives of B\\G: the identity (coset of the
     point [0:1]) followed by w u^k for k = 0..p-1 (cosets [1:k])."""
@@ -488,21 +562,26 @@ def induce_to_g(mod, p=None, transversal=None):
 
 
 def _solve_exact(A, rhs):
-    """Solve the square rational system A x = rhs exactly; raises on a
-    singular matrix, which would mean the projective factor table is wrong."""
-    n = len(rhs)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    """Solve the rational system A x = rhs exactly, for A with at least as
+    many rows as columns.  Raises RuntimeError when A lacks full column rank,
+    which would mean a projective factor table or the simples' counts are
+    mis-encoded, and InconsistencyError when a row beyond the pivots does not
+    reduce to 0 = 0."""
+    rows, n = len(rhs), len(A[0])
+    M = [[Fraction(v) for v in A[i]] + [Fraction(rhs[i])] for i in range(rows)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        pivot = next((r for r in range(col, rows) if M[r][col] != 0), None)
         if pivot is None:
-            raise RuntimeError("singular Cartan system; projective factors mis-encoded")
+            raise RuntimeError("singular system; projective factors or simple counts mis-encoded")
         M[col], M[pivot] = M[pivot], M[col]
         inv = 1 / M[col][col]
         M[col] = [v * inv for v in M[col]]
-        for r in range(n):
+        for r in range(rows):
             if r != col and M[r][col]:
                 f = M[r][col]
                 M[r] = [v - f * w for v, w in zip(M[r], M[col])]
+    if any(M[r][n] for r in range(n, rows)):
+        raise InconsistencyError("overdetermined system is inconsistent")
     return [M[i][n] for i in range(n)]
 
 
@@ -519,7 +598,7 @@ def cartan_check(a, b, p):
     integer combination of projective-cover factor columns."""
     if not 1 <= b <= p - 1:
         raise ValueError(f"b must lie in [1, {p - 1}], got {b}")
-    ell = comp_factors_oracle(induce_to_g(uab_module(a, b, p)))
+    ell = comp_factors_brauer(induce_to_g(uab_module(a, b, p)))
     residual = [ell.mult[t] - closedform.c_abt(a, b, t, p) for t in range(1, p + 1)]
     cartan = [[0] * p for _ in range(p)]
     for s in range(1, p + 1):
@@ -565,7 +644,17 @@ def _first_divergence(got, want):
 
 
 def verify_full(p, m, force=False):
-    """Run the four oracle-versus-closed-form checks for one (p, m)."""
+    """Run the four oracle-versus-closed-form checks for one (p, m).
+
+    Points with dim H0 above COMP_FACTOR_GUARD are refused before any matrix
+    work unless force=True."""
+    make_field(p)  # a bad p fails here first, as it would in h0_module
+    n = dim_h0(p, m)
+    if n > COMP_FACTOR_GUARD and not force:
+        raise GuardError(
+            f"verify is sized for dim H0 <= {COMP_FACTOR_GUARD}, but dim H0 = {n} at "
+            f"p={p}, m={m}; pass --force (force=True) to override"
+        )
     checks = []
     mod = h0_module(p, m)
 
@@ -580,7 +669,7 @@ def verify_full(p, m, force=False):
         )
     )
 
-    oracle_f = comp_factors_oracle(mod, force=force)
+    oracle_f = comp_factors_brauer(mod)
     closed_f = closedform.comp_factors_h0(m, p)
     ok = oracle_f.mult == closed_f
     checks.append(
@@ -593,12 +682,12 @@ def verify_full(p, m, force=False):
 
     gdec = closedform.g_decomposition(m, p)
     total = gdec.total_dim()
-    ok = total == dim_h0(p, m)
+    ok = total == n
     checks.append(
         CheckResult(
             "G-decomposition dimension",
             ok,
-            f"{total} == dim H0 = {dim_h0(p, m)}" if ok else f"{total} != {dim_h0(p, m)}",
+            f"{total} == dim H0 = {n}" if ok else f"{total} != {n}",
         )
     )
 

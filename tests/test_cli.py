@@ -253,6 +253,7 @@ def test_exit_2_on_invalid_inputs(capsys):
         ["sweep", "--m-values", "2,y"],
         ["action", "--p", "3", "--r", "7", "--m", "1", "--element", "1", "0", "0", "1"],
         ["action", "--p", "5", "--r", "3", "--m", "2", "--element", "1", "0", "0", "1"],
+        ["verify", "--p", "7", "--m", "11"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

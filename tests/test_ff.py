@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from drinfeld.ff import (
     FqMatrix,
-    _poly_mul,
     _poly_rem,
     inv,
     kernel_array,
@@ -140,6 +139,15 @@ def test_pow_matches_repeated_multiplication():
         for n in range(8):
             assert a**n == acc
             acc = acc * a
+
+
+def _poly_mul(a, b, p):
+    """Schoolbook product of coefficient lists (low degree first) mod p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
 
 
 @pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)])

@@ -3,15 +3,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drinfeld import modrep
 from drinfeld.closedform import BLabel, InconsistencyError
 from drinfeld.curve import GroupElement, action_matrix, enumerate_basis
-from drinfeld.ff import FqMatrix, rank_of_power
+from drinfeld.ff import FqMatrix, inv_array, rank_of_power
 from drinfeld.modrep import (
     CompFactorVector,
     GuardError,
     ModuleRep,
     cartan_check,
+    comp_factors_brauer,
     comp_factors_oracle,
     decompose_b_oracle,
     default_transversal,
@@ -276,6 +280,96 @@ def test_comp_factor_vector_validate():
         vec.validate(7)
     with pytest.raises(InconsistencyError):
         CompFactorVector(3, {1: 1}).validate(1)
+
+
+# -- Brauer-character composition factors ---------------------------------------------
+
+
+def test_brauer_matches_socle_oracle_on_h0():
+    pairs = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3), (7, 6), (11, 2)]
+    for p, m in pairs:
+        assert comp_factors_brauer(h0(p, m)) == h0_factors_oracle(p, m), (p, m)
+
+
+def test_brauer_matches_socle_oracle_on_induced_modules():
+    for p in (3, 5, 7):
+        for a in range(p - 1):
+            for b in range(1, p + 1):
+                ind = induce_to_g(uab_module(a, b, p))
+                assert comp_factors_brauer(ind) == comp_factors_oracle(ind), (a, b, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_brauer_on_random_sums_of_simples(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    ts = data.draw(st.lists(st.integers(1, p), min_size=1, max_size=4))
+    mod = simple_module(ts[0], p)
+    for t in ts[1:]:
+        mod = direct_sum(mod, simple_module(t, p))
+    # hide the block structure behind a random change of basis
+    ctx = field(p)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    while True:
+        P = rng.integers(0, p, size=(mod.dim, mod.dim))
+        try:
+            Pinv = inv_array(P, p)
+            break
+        except ValueError:
+            continue
+    gens = {
+        name: FqMatrix(ctx, ctx.matmul(ctx.matmul(P, mat.data), Pinv))
+        for name, mat in mod.gens.items()
+    }
+    conj = ModuleRep(ctx, mod.dim, gens).validate()
+    want = Counter(ts)
+    assert comp_factors_brauer(conj).mult == {t: want.get(t, 0) for t in range(1, p + 1)}
+
+
+def test_brauer_simples_solve_to_unit_vectors():
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for t in range(1, p + 1):
+            got = comp_factors_brauer(simple_module(t, p)).as_tuple()
+            assert got == tuple(int(s == t) for s in range(1, p + 1)), (t, p)
+
+
+def test_brauer_rejects_b_modules():
+    with pytest.raises(ValueError):
+        comp_factors_brauer(uab_module(0, 2, 3))
+
+
+def test_brauer_rejects_tampered_counts():
+    mod = h0(5, 2)
+    counts = modrep._brauer_counts(mod)
+    assert modrep._factors_from_counts(counts, 5, mod.dim).as_tuple() == (1, 2, 3, 2, 1)
+    for i in (0, len(counts) - 1):
+        bad = list(counts)
+        bad[i] += 1
+        with pytest.raises(InconsistencyError):
+            modrep._factors_from_counts(tuple(bad), 5, mod.dim)
+    # for p = 3, V_1 + V_3 counts (4, 0, 2, 2, 0): half of it solves to
+    # (1/2, 0, 1/2), and V_3 - V_1 to (-1, 0, 1)
+    with pytest.raises(InconsistencyError, match="not integers"):
+        modrep._factors_from_counts((2, 0, 1, 1, 0), 3, 2)
+    with pytest.raises(InconsistencyError, match="negative"):
+        modrep._factors_from_counts((2, 0, 0, 2, 0), 3, 2)
+
+
+def test_solve_exact_checks_extra_rows():
+    assert modrep._solve_exact([[1, 0], [0, 2], [1, 1]], [1, 4, 3]) == [1, 2]
+    with pytest.raises(InconsistencyError):
+        modrep._solve_exact([[1, 0], [0, 2], [1, 1]], [1, 4, 4])
+    with pytest.raises(RuntimeError):
+        modrep._solve_exact([[1, 2], [2, 4], [3, 6]], [1, 2, 3])
+
+
+def test_verify_guard_raises_before_matrix_work(monkeypatch):
+    def fail(p, m):
+        raise AssertionError("h0_module must not run past the guard")
+
+    monkeypatch.setattr(modrep, "h0_module", fail)
+    with pytest.raises(GuardError, match="dim H0 = 420.*--force.*force=True"):
+        modrep.verify_full(7, 11)
 
 
 # -- induction ----------------------------------------------------------------------
