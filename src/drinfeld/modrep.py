@@ -1,12 +1,14 @@
 """Brute-force modular representation oracle over the prime field.
 
 Every table closedform produces is re-derived here from explicit generator
-matrices, with no shared formulas: restrictions to the Borel subgroup are
-split by Jordan and eigenvalue analysis, and induction is realized through
-an explicit coset transversal.  Composition factors over the full group come
-from Brauer characters: every p-regular element of SL2(p) is conjugate into
-the split torus <t> or a non-split torus <c>, so eigenvalue counts of rho(t)
-and rho(c) (ranks mod p) fix the factors, solved against the same counts of
+matrices, with no shared formulas.  A restriction to the Borel subgroup is
+split by the ranks of the powers of L = log rho(u) on the torus weight spaces
+V_c = ker(rho(t) - zeta^c); L and not rho(u) - I, because only the logarithm
+moves every weight by exactly -2.  Induction is realized through an explicit
+coset transversal.  Composition factors over the full group come from
+Brauer characters: every p-regular element of SL2(p) is conjugate into the
+split torus <t> or a non-split torus <c>, so eigenvalue counts of rho(t) and
+rho(c) (ranks mod p) fix the factors, solved against the same counts of
 V_1..V_p.  verify_full and cartan_check use them; the iterated-socle oracle
 comp_factors_oracle is kept as the small-size cross-check.  The Cartan system
 ties the correspondent factor tables back to oracle counts.  All arithmetic
@@ -114,26 +116,25 @@ class ModuleRep:
         for name, mat in self.gens.items():
             if mat.ctx != ctx or mat.shape != (n, n):
                 raise ValueError(f"generator {name} has wrong field or shape")
-            if rank_array(arr[name], p) != n:
-                raise ValueError(f"generator {name} is singular")
+        # u^p = I, t^(p-1) = I and w^2 = t^((p-1)/2) make every generator
+        # invertible, so the conjugation relations are checked without inverses
         if not np.array_equal(matpow_array(arr["u"], p, p), eye):
             raise ValueError("rho(u)^p != I")
         if not np.array_equal(matpow_array(arr["t"], p - 1, p), eye):
             raise ValueError("rho(t)^(p-1) != I")
-        tinv = inv_array(arr["t"], p)
-        lhs = ctx.matmul(ctx.matmul(arr["t"], arr["u"]), tinv)
-        rhs = matpow_array(arr["u"], pow(ctx.zeta, 2, p), p)
+        lhs = ctx.matmul(arr["t"], arr["u"])
+        rhs = ctx.matmul(matpow_array(arr["u"], pow(ctx.zeta, 2, p), p), arr["t"])
         if not np.array_equal(lhs, rhs):
-            raise ValueError("rho(t) rho(u) rho(t)^-1 != rho(u)^(zeta^2)")
+            raise ValueError("rho(t) rho(u) != rho(u)^(zeta^2) rho(t)")
         if "w" in arr:
             if not np.array_equal(
                 ctx.matmul(arr["w"], arr["w"]), matpow_array(arr["t"], (p - 1) // 2, p)
             ):
                 raise ValueError("rho(w)^2 != rho(t)^((p-1)/2)")
-            winv = inv_array(arr["w"], p)
-            lhs = ctx.matmul(ctx.matmul(arr["w"], arr["t"]), winv)
-            if not np.array_equal(lhs, matpow_array(arr["t"], p - 2, p)):
-                raise ValueError("rho(w) rho(t) rho(w)^-1 != rho(t)^-1")
+            lhs = ctx.matmul(arr["w"], arr["t"])
+            rhs = ctx.matmul(matpow_array(arr["t"], p - 2, p), arr["w"])
+            if not np.array_equal(lhs, rhs):
+                raise ValueError("rho(w) rho(t) != rho(t)^(p-2) rho(w)")
         return self
 
 
@@ -268,30 +269,20 @@ def _row_space(A, p):
     return R[: len(piv)], piv
 
 
-def _left_kernel_within(rows, N, ctx):
-    """Basis rows of {v in rowspace(rows) : v N = 0}."""
-    if rows.shape[0] == 0:
-        return rows
-    C = ctx.matmul(rows, N)
-    K = kernel_array(C.T, ctx.p)  # columns alpha with alpha . C = 0
-    return ctx.matmul(K.T, rows)
-
-
-def _is_row_stable(rows, mat, ctx):
-    if rows.shape[0] == 0:
-        return True
-    stacked = np.vstack([rows, ctx.matmul(rows, mat)])
-    return rank_array(stacked, ctx.p) == rows.shape[0]
-
-
 def decompose_b_oracle(mod):
     """Split a B-module into uniserial summands U_{a,b} by pure matrix work.
 
-    With N = rho(u) - I, the number of Jordan blocks of size >= b is
-    rank(N^(b-1)) - rank(N^b).  The socles of those blocks form the
-    t-stable space ker(N) /\\ im(N^(b-1)); diagonalizing rho(t) there and
-    subtracting what larger blocks already contributed isolates each
-    multiplicity n_{a,b}.  Returns {BLabel(a, b): n}.
+    N = rho(u) - I must satisfy N^p = 0.  L = log rho(u) = sum_{k<p}
+    (-1)^(k+1) N^k / k has the same kernels and images as N and its powers,
+    and it is weight-homogeneous: rho(t) L = zeta^2 L rho(t), so L maps the
+    weight space V_c = ker(rho(t) - zeta^c) into V_{c-2}.  N itself is not
+    (N = L + L^2/2 + ... mixes weights c-2, c-4, ...), which is why the
+    counts below use L.  Each U_{a,b} is then one L-chain of weight vectors
+    from its top, of weight a + 2(b-1), down to its socle, of weight a, so the
+    number of blocks of size >= b with socle weight a is
+    r_c(b-1) - r_c(b), where r_c(k) = dim V_c L^k and c = a + 2(b-1)
+    mod p-1, and n_{a,b} is the drop in that count from b to b+1.
+    Returns {BLabel(a, b): n}.
     """
     if mod.group != "B":
         raise ValueError("decompose_b_oracle expects a B-module (no w generator)")
@@ -299,52 +290,41 @@ def decompose_b_oracle(mod):
     p, n = ctx.p, mod.dim
     arr = mod.arrays()
     eye = np.eye(n, dtype=np.int64)
-    if not np.array_equal(matpow_array(arr["u"], p, p), eye):
-        raise ValueError("rho(u) is not unipotent of order dividing p")
     N = (arr["u"] - eye) % p
-    npow = [eye]
-    for _ in range(p):
-        npow.append(ctx.matmul(npow[-1], N))
-    ranks = [rank_array(A, p) for A in npow]
-    blocks_ge = [ranks[b - 1] - ranks[b] for b in range(1, p + 1)] + [0]
-    if any(blocks_ge[i] < blocks_ge[i + 1] for i in range(p)):
-        raise InconsistencyError("Jordan block counts are not monotone")
-    if sum(b * (blocks_ge[b - 1] - blocks_ge[b]) for b in range(1, p + 1)) != n:
-        raise InconsistencyError("Jordan block sizes do not sum to the dimension")
-    for s in range(1, p):
-        ker = kernel_array(npow[s].T, p).T  # rows v with v N^s = 0
-        if not _is_row_stable(ker, arr["t"], ctx):
-            raise InconsistencyError(f"rho(t) does not stabilize ker(N^{s})")
+    L, Nk = np.zeros_like(N), N
+    for k in range(1, p):
+        L = (L + pow((-1) ** (k + 1) * k, -1, p) * Nk) % p
+        Nk = ctx.matmul(Nk, N)
+    if np.any(Nk):
+        raise ValueError("rho(u) is not unipotent of order dividing p")
+    ranks = []  # ranks[c][k] = dim V_c L^k for k = 0..p+1
+    for c in range(p - 1):
+        rows = kernel_array((arr["t"] - pow(ctx.zeta, c, p) * eye).T, p).T
+        img = ctx.matmul(rows, L)
+        if not np.array_equal(ctx.matmul(img, arr["t"]), pow(ctx.zeta, c - 2, p) * img % p):
+            raise InconsistencyError(f"log rho(u) does not map weight {c} to weight {c - 2}")
+        r = [rows.shape[0]]
+        while r[-1]:
+            rows = _row_space(img, p)[0]
+            r.append(rows.shape[0])
+            img = ctx.matmul(rows, L)
+        ranks.append(r + [0] * (p + 2 - len(r)))
+    span = sum(r[0] for r in ranks)
+    if span != n:
+        raise InconsistencyError(f"rho(t) eigenspaces span {span} of {n} dimensions")
+
+    def blocks_ge(a, b):  # Jordan blocks of size >= b whose socle has weight a
+        r = ranks[(a + 2 * (b - 1)) % (p - 1)]
+        return r[b - 1] - r[b]
+
     out = {}
-    prev = {a: 0 for a in range(p - 1)}
-    for b in range(p, 0, -1):
-        rows, _ = _row_space(npow[b - 1], p)
-        socle = _left_kernel_within(rows, N, ctx)
-        socle, spiv = _row_space(socle, p)
-        d = socle.shape[0]
-        if d != blocks_ge[b - 1]:
-            raise InconsistencyError(
-                f"socle slice at b={b} has dim {d}, expected {blocks_ge[b - 1]}"
-            )
-        st = ctx.matmul(socle, arr["t"])
-        if rank_array(np.vstack([socle, st]), p) != d:
-            raise InconsistencyError(f"rho(t) does not stabilize the b={b} socle slice")
-        tb = st[:, spiv]
-        cur = {}
-        total = 0
+    for b in range(1, p + 1):
         for a in range(p - 1):
-            lam = pow(ctx.zeta, a, p)
-            ka = d - rank_array((tb - lam * np.eye(d, dtype=np.int64)) % p, p)
-            cur[a] = ka
-            total += ka
-            n_ab = ka - prev[a]
+            n_ab = blocks_ge(a, b) - blocks_ge(a, b + 1)
             if n_ab < 0:
                 raise InconsistencyError(f"negative multiplicity at (a={a}, b={b})")
             if n_ab:
                 out[BLabel(a, b)] = n_ab
-        if total != d:
-            raise InconsistencyError(f"rho(t) not diagonalizable on the b={b} slice")
-        prev = cur
     if sum(lab.b * k for lab, k in out.items()) != n:
         raise InconsistencyError("recovered summands do not fill the module")
     return out

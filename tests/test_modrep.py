@@ -171,6 +171,15 @@ def test_validate_rejects_broken_relations():
         ModuleRep(ctx9, 1, {"u": eye9, "t": eye9}).validate()
 
 
+def test_validate_rejects_singular_generators():
+    mod = h0(5, 2)
+    for name in ("u", "t", "w"):
+        gens = dict(mod.gens)
+        gens[name] = FqMatrix.zeros(mod.field, mod.dim, mod.dim)
+        with pytest.raises(ValueError):
+            ModuleRep(mod.field, mod.dim, gens).validate()
+
+
 # -- B-side oracle ----------------------------------------------------------------
 
 
@@ -204,6 +213,55 @@ def test_b_oracle_matches_closed_form_tables():
 def test_b_oracle_rejects_g_modules():
     with pytest.raises(ValueError):
         decompose_b_oracle(h0(3, 2))
+
+
+def test_b_oracle_rejects_non_b_modules():
+    # unvalidated generator pairs that satisfy no B-module relations
+    ctx3, ctx5 = field(3), field(5)
+    shear3 = FqMatrix(ctx3, np.array([[1, 1], [0, 1]]))
+    shear5 = FqMatrix(ctx5, np.array([[1, 1], [0, 1]]))
+    eye3, eye5 = FqMatrix.identity(ctx3, 2), FqMatrix.identity(ctx5, 2)
+    with pytest.raises(InconsistencyError, match="weight"):
+        # t u t^-1 = u, not u^(zeta^2): the torus does not rescale log rho(u)
+        decompose_b_oracle(ModuleRep(ctx5, 2, {"u": shear5, "t": eye5}))
+    # rho(u) - I is a single shift lowering the weights 0, 2, 0 by 2, but its
+    # square lowers them by 4 (= 0 mod 4), so log rho(u) is not homogeneous
+    jordan3 = FqMatrix(ctx5, np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    torus = FqMatrix(ctx5, np.diag([1, pow(ctx5.zeta, 2, 5), 1]))
+    with pytest.raises(InconsistencyError, match="weight"):
+        decompose_b_oracle(ModuleRep(ctx5, 3, {"u": jordan3, "t": torus}))
+    with pytest.raises(ValueError, match="unipotent"):
+        decompose_b_oracle(ModuleRep(ctx5, 2, {"u": FqMatrix(ctx5, 2 * eye5.data), "t": eye5}))
+    with pytest.raises(InconsistencyError, match="eigenspaces"):
+        # rho(t) is not diagonalizable
+        decompose_b_oracle(ModuleRep(ctx3, 2, {"u": eye3, "t": shear3}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_b_oracle_on_conjugated_random_sums(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    labels = data.draw(
+        st.lists(st.tuples(st.integers(0, p - 2), st.integers(1, p)), min_size=1, max_size=4)
+    )
+    mod = uab_module(*labels[0], p)
+    for a, b in labels[1:]:
+        mod = direct_sum(mod, uab_module(a, b, p))
+    # hide the block structure behind a random change of basis: unit lower
+    # times unit upper triangular, so invertible by construction
+    ctx = field(p)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    eye = np.eye(mod.dim, dtype=np.int64)
+    lower = np.tril(rng.integers(0, p, size=eye.shape), -1) + eye
+    upper = np.triu(rng.integers(0, p, size=eye.shape), 1) + eye
+    P = ctx.matmul(lower, upper)
+    Pinv = inv_array(P, p)
+    gens = {
+        name: FqMatrix(ctx, ctx.matmul(ctx.matmul(P, mat.data), Pinv))
+        for name, mat in mod.gens.items()
+    }
+    hidden = ModuleRep(ctx, mod.dim, gens).validate()
+    assert decompose_b_oracle(hidden) == dict(Counter(BLabel(a, b) for a, b in labels))
 
 
 def test_direct_sum_requires_matching_structure():
