@@ -8,15 +8,24 @@ integer array.
 
 Row reduction, kernel, inverse and power are written once, over four
 packed-array ops of FieldCtx (submul, mul, neg, matmul), the only array code
-that depends on r.  For r = 1 all arithmetic is plain mod-p integer code.  For
-r > 1 the ADD/MUL/NEG lookup tables of FieldCtx.tables, built with numpy from
-the modulus, define it: the scalar ops (padd, pneg, pmul) and submul, mul and
-neg index them.  matmul sums r int64 products A_k @ (B * x^k) over the digit
-planes A_k of A, with the shifts B * x^k from FieldCtx._shifts, which also
-builds the MUL table.  Tables are built only for q <= TABLE_MAX_Q = 2048; a
-larger field raises ValueError.  The *_array functions are the prime-field
-entry points on plain residue arrays.  Everything is exact; there is no
-floating point anywhere.
+that depends on r.  For r = 1 the scalar ops, submul, mul and neg are plain
+mod-p integer code.  For r > 1 the ADD/MUL/NEG lookup tables of
+FieldCtx.tables, built with numpy from the modulus, define them: the scalar
+ops (padd, pneg, pmul) and submul, mul and neg index them.  matmul sums the
+r products A_k @ (B * x^k) over the digit planes A_k of A, with the shifts
+B * x^k from FieldCtx._shifts, which also builds the MUL table.  Tables are
+built only for q <= TABLE_MAX_Q = 2048; a larger field raises ValueError.
+The *_array functions are the prime-field entry points on plain residue
+arrays.
+
+Everything is exact.  The one use of floating point is matmul, which runs
+its products as float64 BLAS products: every operand entry is a residue or
+digit in [0, p), so every partial sum of the float product is a non-negative
+integer at most r * inner * (p-1)^2.  matmul raises ValueError unless that
+bound is below 2^53, where float64 holds every integer exactly, whatever the
+summation order; entries outside [0, q) raise ValueError too.  FieldCtx
+refuses p >= 2^31, so the int64 products c * X of submul and mul stay below
+2^62.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ __all__ = [
 
 # largest q whose (q, q) lookup tables are built (at most 2^22 cells each)
 TABLE_MAX_Q = 2048
+# every integer of absolute value up to 2^53 is a float64
+FLOAT_EXACT = 2**53
+# p < 2^31 keeps c * X in submul and mul below 2^62, inside int64
+MAX_P = 2**31
 
 
 def _is_prime(n):
@@ -125,6 +138,8 @@ class FieldCtx:
     """Arithmetic context for GF(p^r); construct via make_field."""
 
     def __init__(self, p, r, modulus, zeta):
+        if p >= MAX_P:
+            raise ValueError(f"p must be below 2^31 for int64 arithmetic, got {p}")
         self.p = p
         self.r = r
         self.q = p**r
@@ -243,14 +258,38 @@ class FieldCtx:
         return self.tables[2][X]
 
     def matmul(self, A, B):
-        if self.r == 1:
-            return A @ B % self.p
-        (rows, inner), cols, r = A.shape, B.shape[1], self.r
-        planes = self.unpack_array(A)
-        out = np.zeros((rows, cols * r), dtype=np.int64)
-        for k, shifted in enumerate(self._shifts(self.unpack_array(B))):
-            out += planes[:, :, k] @ shifted.reshape(inner, cols * r)
-        return out.reshape(rows, cols, r) % self.p @ self._place
+        """A @ B on packed arrays, by float64 BLAS products that are exact.
+
+        Every partial sum is a sum of at most r * inner products of two digits
+        in [0, p); below 2^53 float64 holds it exactly in any order, so one
+        cast back to int64 and one % p give the residues.
+        """
+        A, B = self._operand(A), self._operand(B)
+        (rows, inner), cols, p, r = A.shape, B.shape[1], self.p, self.r
+        if r * inner * (p - 1) ** 2 >= FLOAT_EXACT:
+            raise ValueError(
+                f"{self!r} product {A.shape} @ {B.shape} is past the float64 bound: "
+                f"{r} * {inner} * ({p}-1)^2 >= 2^53"
+            )
+        if r == 1:
+            C = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+            C %= p
+            return C
+        # the digit planes A_k of A, each C-contiguous so that @ runs in BLAS
+        planes = self.unpack_array(A).transpose(2, 0, 1).astype(np.float64, order="C")
+        C = np.zeros((rows, cols * r))
+        for plane, shifted in zip(planes, self._shifts(self.unpack_array(B))):
+            C += plane @ shifted.reshape(inner, cols * r).astype(np.float64)
+        C = C.astype(np.int64)
+        C %= p
+        return C.reshape(rows, cols, r) @ self._place
+
+    def _operand(self, X):
+        # one reduction: a negative entry reads as a huge unsigned value
+        X = np.asarray(X, dtype=np.int64)
+        if X.ndim != 2 or X.view(np.uint64).max(initial=0) >= self.q:
+            raise ValueError(f"matmul operands must be 2-d arrays of values in [0, {self.q})")
+        return X
 
     @cached_property
     def _dlog(self):

@@ -12,7 +12,8 @@ rho(c) (ranks mod p) fix the factors, solved against the same counts of
 V_1..V_p.  verify_full and cartan_check use them; the iterated-socle oracle
 comp_factors_oracle is kept as the small-size cross-check.  The Cartan system
 ties the correspondent factor tables back to oracle counts.  All arithmetic
-is exact: int64 mod p, with every mod-p product taken by FieldCtx.matmul, and
+is exact: residues mod p in int64 arrays, every mod-p product taken by
+FieldCtx.matmul (float64 BLAS under its asserted 2^53 exactness bound), and
 Fractions for the Brauer and Cartan solves.
 """
 

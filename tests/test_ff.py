@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld.ff import (
+    FieldCtx,
     FqMatrix,
     _poly_rem,
     inv,
@@ -276,6 +277,88 @@ def test_fqmatrix_matmul_matches_scalar_sums(p, r):
                 for k in range(inner):
                     want = want + A[i][k] * B[k][j]
                 assert C[i, j] == want
+
+
+def _object_matmul(ctx, A, B):
+    """A @ B over GF(p^r) with Python ints: digit polynomials multiplied
+    schoolbook and reduced by the modulus, then packed."""
+    p, r = ctx.p, ctx.r
+    dA = np.asarray(ctx.unpack_array(A), dtype=object)
+    dB = np.asarray(ctx.unpack_array(B), dtype=object)
+    rows, inner, cols = A.shape[0], A.shape[1], B.shape[1]
+    out = np.zeros((rows, cols), dtype=np.int64)
+    for i in range(rows):
+        for j in range(cols):
+            conv = [0] * (2 * r - 1)
+            for k in range(inner):
+                for a in range(r):
+                    for b in range(r):
+                        conv[a + b] += dA[i, k, a] * dB[k, j, b]
+            rem = _poly_rem([c % p for c in conv], list(ctx.modulus), p)
+            out[i, j] = sum(int(c) * p**d for d, c in enumerate(rem))
+    return out
+
+
+@st.composite
+def matmul_operands(draw):
+    p, r = draw(st.sampled_from([(3, 1), (13, 1), (31, 1), (3, 2), (3, 3), (7, 2)]))
+    ctx = field(p, r)
+    rows, inner, cols = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+
+    def matrix(m, n):
+        cells = st.lists(
+            st.integers(min_value=0, max_value=ctx.q - 1), min_size=m * n, max_size=m * n
+        )
+        return np.array(draw(cells), dtype=np.int64).reshape(m, n)
+
+    return ctx, matrix(rows, inner), matrix(inner, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matmul_operands())
+def test_matmul_matches_python_int_products(data):
+    ctx, A, B = data
+    C = ctx.matmul(A, B)
+    assert C.dtype == np.int64 and C.shape == (A.shape[0], B.shape[1])
+    assert np.array_equal(C, _object_matmul(ctx, A, B))
+
+
+@pytest.mark.parametrize("r,modulus,inner", [(1, (0, 1), 9007), (2, (1, 0, 1), 4503)])
+def test_matmul_exact_up_to_the_float_bound(r, modulus, inner):
+    # r * inner * (p-1)^2 < 2^53 holds at inner and fails at inner + 1
+    ctx = FieldCtx(1000003, r, modulus, 2)  # x^2 + 1 is irreducible, as p = 3 mod 4
+    rng = np.random.default_rng(5)
+    for A in (np.full((1, inner), ctx.q - 1), rng.integers(ctx.q - 10**6, ctx.q, (1, inner))):
+        B = A.T.copy()
+        assert np.array_equal(ctx.matmul(A, B), _object_matmul(ctx, A, B))
+    A = np.full((1, inner + 1), ctx.q - 1)
+    with pytest.raises(ValueError, match=str(inner + 1)):
+        ctx.matmul(A, A.T.copy())
+
+
+def test_matmul_refuses_products_that_would_wrap():
+    # int64 A @ B at p = 2^31 - 1 wraps at inner 3; the float bound refuses it
+    p = 2**31 - 1
+    ctx = FieldCtx(p, 1, (0, 1), 7)
+    A = np.full((1, 3), p - 1)
+    with pytest.raises(ValueError, match="2\\^53"):
+        ctx.matmul(A, A.T.copy())
+    # from p = 2^31 on, c * X in submul and mul could wrap as well
+    with pytest.raises(ValueError, match="2\\^31"):
+        FieldCtx(4294967311, 1, (0, 1), 3)
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (3, 2)])
+def test_matmul_rejects_operands_out_of_range(p, r):
+    ctx = make_field(p, r)
+    good = np.ones((2, 2), dtype=np.int64)
+    for bad in (-1, ctx.q):
+        wrong = good.copy()
+        wrong[1, 0] = bad
+        with pytest.raises(ValueError, match="operands"):
+            ctx.matmul(wrong, good)
+        with pytest.raises(ValueError, match="operands"):
+            ctx.matmul(good, wrong)
 
 
 def test_fqmatrix_inverse_round_trip():
