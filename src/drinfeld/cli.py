@@ -1,8 +1,12 @@
 """Command-line surface: bases, action matrices, decomposition tables, and
 oracle verification reports as JSON, CSV, or text.
 
+Each command builds a JSON-shaped dict that the renderers project, but
+``action`` keeps its matrices packed (FqMatrix) and writes each row by
+indexing one per-call table of the q cell strings and joining the strings.
+
 Exit codes: 0 = success / all checks passed, 1 = a verification mismatch,
-2 = invalid input.
+2 = invalid input (an unwritable --out path included).
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import closedform, modrep
 from .curve import BasisSet, GroupElement, action_matrix, degree
@@ -50,27 +56,15 @@ def _element_from_tokens(tokens, ctx):
     return GroupElement(a, b, c, d)
 
 
-def _cells(mat):
-    """Entries of an FqMatrix as JSON-ready nested lists: residues when
-    r = 1, coefficient vectors (low degree first) when r > 1."""
-    data = mat.data if mat.ctx.r == 1 else mat.ctx.unpack_array(mat.data)
-    return data.tolist()
-
-
 # -- document builders (JSON-shaped dicts; other formats project these) ----
 
 
 def _doc_basis(config):
+    make_field(config.p)  # refuses a p that is not an odd prime; builds no tables
     q = config.p**config.r
     basis = BasisSet(q, config.m)
-    return 0, {
-        "q": q,
-        "m": config.m,
-        "dim": len(basis),
-        "basis": [
-            {"i": ix.i, "j": ix.j, "degree": degree(ix, q)} for ix in basis
-        ],
-    }
+    rows = [{"i": ix.i, "j": ix.j, "degree": degree(ix, q)} for ix in basis]
+    return 0, {"q": q, "m": config.m, "dim": len(basis), "basis": rows}
 
 
 def _doc_action(config):
@@ -79,17 +73,9 @@ def _doc_action(config):
     q = config.p**config.r
     ctx = make_field(config.p, config.r)
     sigma = _element_from_tokens(config.element, ctx)
-    basis = BasisSet(q, config.m)
-    mat = action_matrix(sigma, basis)
+    mat = action_matrix(sigma, BasisSet(q, config.m))
     element = FqMatrix.from_elems(ctx, [[sigma.alpha, sigma.beta], [sigma.gamma, sigma.delta]])
-    return 0, {
-        "q": q,
-        "p": config.p,
-        "r": config.r,
-        "m": config.m,
-        "element": _cells(element),
-        "matrix": _cells(mat),
-    }
+    return 0, {"q": q, "p": config.p, "r": config.r, "m": config.m, "element": element, "matrix": mat}
 
 
 def _summand_list(mult):
@@ -181,10 +167,6 @@ _BUILDERS = {
 # -- renderers ---------------------------------------------------------------
 
 
-def _text_matrix(rows):
-    return "\n".join("  " + " ".join(str(v) for v in row) for row in rows)
-
-
 def _dlist(factor_recs):
     return "[" + ",".join(str(rec["d"]) for rec in factor_recs) + "]"
 
@@ -195,11 +177,6 @@ def _render_text(command, doc):
         lines.append(f"q={doc['q']} m={doc['m']} dim={doc['dim']}")
         for rec in doc["basis"]:
             lines.append(f"w({rec['i']},{rec['j']})  degree {rec['degree']}")
-    elif command == "action":
-        lines.append(
-            f"q={doc['q']} r={doc['r']} m={doc['m']} element={doc['element']}"
-        )
-        lines.append(_text_matrix(doc["matrix"]))
     elif command == "decompose":
         lines.append("summands:")
         for rec in doc["summands"]:
@@ -245,11 +222,6 @@ def _csv_rows(command, doc):
         yield ("i", "j", "degree")
         for rec in doc["basis"]:
             yield (rec["i"], rec["j"], rec["degree"])
-    elif command == "action":
-        yield ("row", "col", "value")
-        for i, row in enumerate(doc["matrix"]):
-            for j, v in enumerate(row):
-                yield (i, j, v if isinstance(v, int) else ";".join(map(str, v)))
     elif command == "decompose":
         if "oracle" in doc:
             closed = {(r["a"], r["b"]): r["mult"] for r in doc["summands"]}
@@ -281,7 +253,30 @@ def _csv_rows(command, doc):
                 yield (rec["p"], rec["m"], c["name"], c["passed"], c["detail"])
 
 
+def _render_action(doc, fmt):
+    """Write the action document from the packed matrices: rows index one table
+    of cell strings, 5 (r = 1) or [0,1] / [0, 1] / 0;1 (json / text / csv)."""
+    ctx, sep = doc["matrix"].ctx, {"json": ",", "text": ", ", "csv": ";"}[fmt]
+    values = range(ctx.q) if ctx.r == 1 else ctx.unpack_array(range(ctx.q)).tolist()
+    cells = [str(v).replace(", ", sep) for v in values]
+    cells = np.array([c.strip("[]") for c in cells] if fmt == "csv" else cells, dtype=object)
+    rows = (cells[row].tolist() for row in doc["matrix"].data)
+    if fmt == "csv":
+        cols = [f"{j}," for j in range(doc["matrix"].cols)]
+        lines = (f"{i}," + f"\n{i},".join(map(str.__add__, cols, row)) for i, row in enumerate(rows))
+        return "row,col,value\n" + "\n".join(lines) + "\n"
+    element = "[" + sep.join("[" + sep.join(cells[row]) + "]" for row in doc["element"].data) + "]"
+    q, p, r, m = (doc[k] for k in ("q", "p", "r", "m"))
+    if fmt == "json":
+        body = ",".join("[" + ",".join(row) + "]" for row in rows)
+        return f'{{"q":{q},"p":{p},"r":{r},"m":{m},"element":{element},"matrix":[{body}]}}\n'
+    text = "\n".join("  " + " ".join(row) for row in rows)
+    return f"q={q} r={r} m={m} element={element}\n{text}\n"
+
+
 def _render(command, doc, fmt):
+    if command == "action":
+        return _render_action(doc, fmt)
     if fmt == "json":
         return json.dumps(doc, separators=(",", ":")) + "\n"
     if fmt == "csv":
@@ -302,8 +297,12 @@ def run(config, stream=None):
         return 2
     rendered = _render(config.command, doc, config.format)
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     elif stream is not None:
         stream.write(rendered)
     else:

@@ -69,6 +69,32 @@ def test_action_extension_field_golden_sha256(args, fmt):
     assert digest == GOLDEN_ACTION_EXT_SHA256[(args, fmt)]
 
 
+# sha256 of stdout for `action` with multi-character cells: two-digit
+# residues over GF(13), and coefficient vectors over GF(25) (dim 300)
+GOLDEN_ACTION_WIDE_SHA256 = {
+    ("--p 13 --m 2 --element 1 1 0 1", "json"):
+        "ee6ee761b56e1f9663bef74b65b700d4f26cc2a07440e2a40b5c40ebc6165e03",
+    ("--p 13 --m 2 --element 1 1 0 1", "csv"):
+        "ce6e98cde0f925385ba4d615f60010fe92665c40e4fe6311e571264d08f4f36f",
+    ("--p 13 --m 2 --element 1 1 0 1", "text"):
+        "8ab814c509aaf52dca524f10e90261e4f94203f82ec321c6f37fd64ed69343cf",
+    ("--p 5 --r 2 --m 1 --element 0,1 1 1 3,3", "json"):
+        "ee1e7f26e65c313ef3a704081f1f460cfee4f5c1e2ff35ded3e5744887230a02",
+    ("--p 5 --r 2 --m 1 --element 0,1 1 1 3,3", "csv"):
+        "198e717d87c02fb71c0a6e49dcad56f8153edca5175a6f15867707e8dc28e00b",
+    ("--p 5 --r 2 --m 1 --element 0,1 1 1 3,3", "text"):
+        "e91c9da36533f1b9e3d7d0e98861a4c47fdf5749ae60420e2eb5228b64e6ae32",
+}
+
+
+@pytest.mark.parametrize("args,fmt", sorted(GOLDEN_ACTION_WIDE_SHA256))
+def test_action_wide_cells_golden_sha256(args, fmt):
+    status, out = _capture(["action", *args.split(), "--format", fmt])
+    assert status == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_ACTION_WIDE_SHA256[(args, fmt)]
+
+
 # -- JSON structure -------------------------------------------------------------
 
 
@@ -254,6 +280,9 @@ def test_exit_2_on_invalid_inputs(capsys):
         ["action", "--p", "3", "--r", "7", "--m", "1", "--element", "1", "0", "0", "1"],
         ["action", "--p", "5", "--r", "3", "--m", "2", "--element", "1", "0", "0", "1"],
         ["verify", "--p", "7", "--m", "11"],
+        ["action", "--p", "3", "--m", "2", "--element", "1", "0", "0", "1",
+         "--out", "/nonexistent/x.json"],
+        ["basis", "--p", "9", "--r", "2", "--m", "2"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
