@@ -22,6 +22,7 @@ from .curve import (
     BasisSet,
     GroupElement,
     action_matrix,
+    block_action_matrices,
     dim_h0,
     enumerate_basis,
     genus,
@@ -37,6 +38,7 @@ from .modrep import (
     comp_factors_brauer,
     comp_factors_oracle,
     decompose_b_oracle,
+    h0_blocks,
     h0_module,
     hom_dim,
     induce_to_g,
@@ -62,6 +64,7 @@ __all__ = [
     "BasisSet",
     "GroupElement",
     "action_matrix",
+    "block_action_matrices",
     "dim_h0",
     "enumerate_basis",
     "genus",
@@ -78,6 +81,7 @@ __all__ = [
     "comp_factors_brauer",
     "comp_factors_oracle",
     "decompose_b_oracle",
+    "h0_blocks",
     "h0_module",
     "hom_dim",
     "induce_to_g",

@@ -93,9 +93,7 @@ def _doc_decompose(config):
         doc = {"summands": _summand_list(bdec.mult)}
         status = 0
         if config.oracle:
-            oracle = modrep.decompose_b_oracle(
-                modrep.restrict_to_b(modrep.h0_module(config.p, config.m))
-            )
+            oracle = modrep.b_labels_by_block(modrep.h0_blocks(config.p, config.m))
             doc["oracle"] = _summand_list(oracle)
             diff = []
             for lab in sorted(set(bdec.mult) | set(oracle), key=lambda l: (l.b, l.a)):

@@ -11,9 +11,13 @@ every other holomorphic w(i, j) collapses onto it through the single curve
 relation x*y^q = x^q*y + 1.  All coordinates live in GF(p) regardless of r,
 while action matrices have entries in GF(q).
 
-Action matrices are built degree by degree from linear_form_powers, the images
-x^i y^j -> (alpha x + beta y)^i (gamma x + delta y)^j computed with FieldCtx
-array ops; the same powers give modrep's simple modules V_t = Sym^(t-1).
+The action preserves the grading (i + j) mod (q + 1), and the canonical order
+keeps each of its q + 1 blocks contiguous.  block_action_matrices builds one
+matrix per nonempty block, degree by degree from linear_form_powers (the
+images x^i y^j -> (alpha x + beta y)^i (gamma x + delta y)^j computed with
+FieldCtx array ops) and a reduction memo local to the block; action_matrix is
+their block-diagonal assembly.  The same powers give modrep's simple modules
+V_t = Sym^(t-1).
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ __all__ = [
     "degree",
     "reduce_to_basis",
     "linear_form_powers",
+    "check_action_dim",
+    "block_action_matrices",
     "action_matrix",
     "graded_basis",
 ]
@@ -144,21 +150,24 @@ def _check_holomorphic(i, j, basis):
         )
 
 
-def _reduce(i, j, basis, memo):
+def _reduce(i, j, basis, memo, lo, size):
+    """Coordinates of w(i, j) on the `size` basis vectors from position `lo`
+    on, which must hold its whole grading block."""
     key = (i, j)
     cached = memo.get(key)
     if cached is not None:
         return cached
     pos = basis.position.get(PolyDiffIndex(i, j))
     if pos is not None:
-        vec = np.zeros(len(basis), dtype=np.int64)
-        vec[pos] = 1
+        vec = np.zeros(size, dtype=np.int64)
+        vec[pos - lo] = 1
     else:
         # outside the basis but holomorphic forces j >= q and i >= 1, so the
-        # curve relation x*y^q = x^q*y + 1 applies
+        # curve relation x*y^q = x^q*y + 1 applies; both terms keep i + j
+        # mod q + 1, so they stay in the block
         q = basis.q
-        vec = (_reduce(i - 1 + q, j - q + 1, basis, memo)
-               + _reduce(i - 1, j - q, basis, memo)) % basis.p
+        vec = (_reduce(i - 1 + q, j - q + 1, basis, memo, lo, size)
+               + _reduce(i - 1, j - q, basis, memo, lo, size)) % basis.p
     memo[key] = vec
     return vec
 
@@ -166,7 +175,7 @@ def _reduce(i, j, basis, memo):
 def reduce_to_basis(i, j, basis):
     """Coordinates of holomorphic w(i, j) in the basis, over GF(p)."""
     _check_holomorphic(i, j, basis)
-    return _reduce(i, j, basis, {})
+    return _reduce(i, j, basis, {}, 0, len(basis))
 
 
 class GroupElement:
@@ -242,34 +251,66 @@ def linear_form_powers(sigma, top):
     return powers
 
 
-def action_matrix(sigma, basis):
-    """Matrix of the right action of sigma on the basis (rows are images).
+def check_action_dim(n):
+    """Refuse an action matrix of dimension n above ACTION_MAX_CELLS cells."""
+    if n * n > ACTION_MAX_CELLS:
+        raise ValueError(f"action matrix of dimension {n} exceeds {ACTION_MAX_CELLS} cells")
 
-    Row k holds the basis coordinates of w_k . sigma, so composites satisfy
-    M(sigma*tau) = M(sigma) @ M(tau).  The rows of total degree d are the
-    linear-form powers of degree d times the stacked reductions of the d + 1
-    monomials of that degree.
+
+def block_action_matrices(sigma, basis):
+    """Action of sigma on each nonempty grading block, {degree: FqMatrix} in
+    ascending degree; row k of a block holds the block coordinates of the
+    image of its k-th basis vector, as in action_matrix.
+
+    Every monomial of total degree d reduces inside block d mod (q + 1), so
+    a block is built from its own reduction memo, whose vectors have the
+    block's length.  The rows of total degree d are the linear-form powers of
+    degree d times the stacked reductions of the d + 1 monomials of that
+    degree: one product per total degree.
     """
     ctx = sigma.ctx
     if (ctx.p, ctx.r) != (basis.p, basis.r):
         raise ValueError(
             f"group element over GF({ctx.q}) does not match basis over GF({basis.q})"
         )
-    n = len(basis)
-    if n * n > ACTION_MAX_CELLS:
-        raise ValueError(f"action matrix of dimension {n} exceeds {ACTION_MAX_CELLS} cells")
+    powers = linear_form_powers(sigma, basis.max_total)
     ij = np.array(basis.indices, dtype=np.int64)
     total = ij.sum(axis=1)
+    out = {}
+    lo = 0
+    for deg, size in enumerate(graded_basis(basis).sizes()):
+        if not size:
+            continue
+        block = np.zeros((size, size), dtype=np.int64)
+        memo = {}
+        for d in range(deg, basis.max_total + 1, basis.q + 1):
+            rows = np.flatnonzero(total[lo : lo + size] == d)
+            # reduction coordinates are prime-subfield constants, whose packed
+            # form is the residue itself
+            red = np.stack([_reduce(d - k, k, basis, memo, lo, size) for k in range(d + 1)])
+            cols = np.flatnonzero(red.any(axis=0))
+            block[np.ix_(rows, cols)] = ctx.matmul(powers[d][ij[lo + rows, 1]], red[:, cols])
+        out[deg] = FqMatrix(ctx, block)
+        lo += size
+    return out
+
+
+def action_matrix(sigma, basis):
+    """Matrix of the right action of sigma on the basis (rows are images).
+
+    Row k holds the basis coordinates of w_k . sigma, so composites satisfy
+    M(sigma*tau) = M(sigma) @ M(tau).  It is the block-diagonal assembly of
+    block_action_matrices; blocks are contiguous in the canonical order.
+    """
+    n = len(basis)
+    check_action_dim(n)
     out = np.zeros((n, n), dtype=np.int64)
-    memo = {}
-    for d, image in enumerate(linear_form_powers(sigma, basis.max_total)):
-        rows = np.flatnonzero(total == d)
-        # reduction coordinates are prime-subfield constants, whose packed
-        # form is the residue itself; they stay inside one grading block
-        red = np.stack([_reduce(d - k, k, basis, memo) for k in range(d + 1)])
-        cols = np.flatnonzero(red.any(axis=0))
-        out[np.ix_(rows, cols)] = ctx.matmul(image[ij[rows, 1]], red[:, cols])
-    return FqMatrix(ctx, out)
+    lo = 0
+    for block in block_action_matrices(sigma, basis).values():
+        hi = lo + block.rows
+        out[lo:hi, lo:hi] = block.data
+        lo = hi
+    return FqMatrix(sigma.ctx, out)
 
 
 class GradedBasis:

@@ -1,26 +1,30 @@
 """Brute-force modular representation oracle over the prime field.
 
 Every table closedform produces is re-derived here from explicit generator
-matrices, with no shared formulas.  A restriction to the Borel subgroup is
-split by the ranks of the powers of L = log rho(u) on the torus weight spaces
-V_c = ker(rho(t) - zeta^c); L and not rho(u) - I, because only the logarithm
-moves every weight by exactly -2.  Induction is realized through an explicit
-coset transversal.  Composition factors over the full group come from
-Brauer characters: every p-regular element of SL2(p) is conjugate into the
-split torus <t> or a non-split torus <c>, so eigenvalue counts of rho(t) and
-rho(c) (ranks mod p) fix the factors, solved against the same counts of
-V_1..V_p.  verify_full and cartan_check use them; the iterated-socle oracle
-comp_factors_oracle is kept as the small-size cross-check.  The Cartan system
-ties the correspondent factor tables back to oracle counts.  All arithmetic
-is exact: residues mod p in int64 arrays, every mod-p product taken by
-FieldCtx.matmul (float64 BLAS under its asserted 2^53 exactness bound), and
-Fractions for the Brauer and Cartan solves.
+matrices, with no shared formulas.  H0 is taken apart into its G-stable
+grading blocks (h0_blocks): verify_full and the decompose oracle validate and
+decompose each block and sum the results, and an error on a block names it.
+A restriction to the Borel subgroup is split by the ranks of the powers of
+L = log rho(u) on the torus weight spaces V_c = ker(rho(t) - zeta^c); L and
+not rho(u) - I, because only the logarithm moves every weight by exactly -2.
+Induction is realized through an explicit coset transversal.  Composition
+factors over the full group come from Brauer characters: every p-regular
+element of SL2(p) is conjugate into the split torus <t> or a non-split torus
+<c>, so eigenvalue counts of rho(t) and rho(c) (ranks mod p) fix the factors,
+solved against the same counts of V_1..V_p.  verify_full and cartan_check
+use them; the iterated-socle oracle comp_factors_oracle is kept as the
+small-size cross-check.  The Cartan system ties the correspondent factor
+tables back to oracle counts.  All arithmetic is exact: residues mod p in
+int64 arrays, every mod-p product taken by FieldCtx.matmul (float64 BLAS
+under its asserted 2^53 exactness bound), and Fractions for the Brauer and
+Cartan solves.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +33,15 @@ import numpy as np
 
 from . import closedform
 from .closedform import BLabel, InconsistencyError
-from .curve import BasisSet, GroupElement, action_matrix, dim_h0, linear_form_powers
+from .curve import (
+    BasisSet,
+    GroupElement,
+    action_matrix,
+    block_action_matrices,
+    check_action_dim,
+    dim_h0,
+    linear_form_powers,
+)
 from .ff import (
     FqMatrix,
     inv_array,
@@ -52,14 +64,17 @@ __all__ = [
     "w_gen",
     "enumerate_group",
     "h0_module",
+    "h0_blocks",
     "simple_module",
     "uab_module",
     "restrict_to_b",
     "direct_sum",
     "decompose_b_oracle",
+    "b_labels_by_block",
     "hom_dim",
     "comp_factors_oracle",
     "comp_factors_brauer",
+    "comp_factors_by_block",
     "default_transversal",
     "induce_to_g",
     "cartan_check",
@@ -199,6 +214,36 @@ def h0_module(p, m):
     return ModuleRep(ctx, len(basis), gens).validate()
 
 
+@contextmanager
+def _naming_block(deg, mod):
+    """Re-raise an oracle error on one grading block with the block named."""
+    try:
+        yield
+    except (ValueError, InconsistencyError) as exc:
+        raise type(exc)(f"grading block {deg} (dim {mod.dim}): {exc}") from exc
+
+
+def h0_blocks(p, m):
+    """H0 split into its G-stable grading blocks, degree (i + j) mod (p + 1):
+    one validated ModuleRep per nonempty block, {degree: ModuleRep} in
+    ascending degree, whose direct sum is h0_module(p, m).  A (p, m) whose
+    full action matrix action_matrix refuses is refused before any basis is
+    built."""
+    ctx = make_field(p)
+    check_action_dim(dim_h0(p, m))
+    basis = BasisSet(p, m)
+    mats = {
+        name: block_action_matrices(g, basis)
+        for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx)))
+    }
+    blocks = {}
+    for deg, u in mats["u"].items():
+        mod = ModuleRep(ctx, u.rows, {name: mats[name][deg] for name in mats})
+        with _naming_block(deg, mod):
+            blocks[deg] = mod.validate()
+    return blocks
+
+
 def simple_module(t, p):
     """The simple V_t: homogeneous degree t-1 polynomials, basis
     x^(t-1-k) y^k for k = 0..t-1."""
@@ -329,6 +374,15 @@ def decompose_b_oracle(mod):
     if sum(lab.b * k for lab, k in out.items()) != n:
         raise InconsistencyError("recovered summands do not fill the module")
     return out
+
+
+def b_labels_by_block(blocks):
+    """decompose_b_oracle summed over the blocks of h0_blocks."""
+    out = Counter()
+    for deg, mod in blocks.items():
+        with _naming_block(deg, mod):
+            out.update(decompose_b_oracle(restrict_to_b(mod)))
+    return dict(out)
 
 
 def _hom_basis(src, dst):
@@ -472,6 +526,17 @@ def comp_factors_brauer(mod):
     if mod.group != "G":
         raise ValueError("comp_factors_brauer expects a G-module")
     return _factors_from_counts(_brauer_counts(mod), mod.field.p, mod.dim)
+
+
+def comp_factors_by_block(blocks):
+    """Composition factors of the direct sum of the blocks of h0_blocks, from
+    their summed Brauer counts."""
+    counts, dim = [], 0
+    for deg, mod in blocks.items():
+        with _naming_block(deg, mod):
+            counts.append(_brauer_counts(mod))
+        dim += mod.dim
+    return _factors_from_counts(tuple(map(sum, zip(*counts))), mod.field.p, dim)
 
 
 def default_transversal(ctx):
@@ -625,7 +690,9 @@ def _first_divergence(got, want):
 
 
 def verify_full(p, m, force=False):
-    """Run the four oracle-versus-closed-form checks for one (p, m).
+    """Run the four oracle-versus-closed-form checks for one (p, m), on the
+    grading blocks of h0_blocks: B-labels and Brauer counts are summed over
+    the blocks, and an oracle error names the block it arose in.
 
     Points with dim H0 above COMP_FACTOR_GUARD are refused before any matrix
     work unless force=True."""
@@ -637,9 +704,9 @@ def verify_full(p, m, force=False):
             f"p={p}, m={m}; pass --force (force=True) to override"
         )
     checks = []
-    mod = h0_module(p, m)
+    blocks = h0_blocks(p, m)
 
-    oracle_b = decompose_b_oracle(restrict_to_b(mod))
+    oracle_b = b_labels_by_block(blocks)
     closed_b = dict(closedform.b_decomposition(m, p).mult)
     ok = oracle_b == closed_b
     checks.append(
@@ -650,7 +717,7 @@ def verify_full(p, m, force=False):
         )
     )
 
-    oracle_f = comp_factors_brauer(mod)
+    oracle_f = comp_factors_by_block(blocks)
     closed_f = closedform.comp_factors_h0(m, p)
     ok = oracle_f.mult == closed_f
     checks.append(

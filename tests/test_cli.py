@@ -283,6 +283,7 @@ def test_exit_2_on_invalid_inputs(capsys):
         ["action", "--p", "3", "--m", "2", "--element", "1", "0", "0", "1",
          "--out", "/nonexistent/x.json"],
         ["basis", "--p", "9", "--r", "2", "--m", "2"],
+        ["decompose", "--p", "31", "--m", "7", "--oracle"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

@@ -4,11 +4,14 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld.curve import (
     GroupElement,
     PolyDiffIndex,
     action_matrix,
+    block_action_matrices,
     degree,
     dim_h0,
     enumerate_basis,
@@ -339,3 +342,33 @@ def test_graded_blocks_are_contiguous_and_action_block_diagonal():
                 outside = M[lo:hi].copy()
                 outside[:, lo:hi] = 0
                 assert not outside.any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_block_matrices_assemble_to_action_matrix(data):
+    # GF(3), GF(5), GF(9) and GF(27), up to dim 1050
+    p, r, m = data.draw(
+        st.sampled_from(
+            [(3, 1, 1), (3, 1, 3), (5, 1, 2), (5, 1, 4), (3, 2, 2), (3, 3, 1), (3, 3, 2)]
+        )
+    )
+    basis = enumerate_basis(p**r, m)
+    ctx = field(p, r)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    s, t = random_sl2(ctx, rng), random_sl2(ctx, rng)
+    blocks = block_action_matrices(s, basis)
+    sizes = graded_basis(basis).sizes()
+    assert list(blocks) == [d for d, k in enumerate(sizes) if k]
+    assert [blk.rows for blk in blocks.values()] == [k for k in sizes if k]
+    full = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    lo = 0
+    for blk in blocks.values():
+        full[lo : lo + blk.rows, lo : lo + blk.cols] = blk.data
+        lo += blk.rows
+    assert np.array_equal(full, action_matrix(s, basis).data)
+    # each block is a representation on its own
+    st_blocks = block_action_matrices(s * t, basis)
+    t_blocks = block_action_matrices(t, basis)
+    for d, blk in blocks.items():
+        assert blk @ t_blocks[d] == st_blocks[d]

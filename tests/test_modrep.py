@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 
@@ -21,6 +22,7 @@ from drinfeld.modrep import (
     default_transversal,
     direct_sum,
     enumerate_group,
+    h0_blocks,
     h0_module,
     hom_dim,
     induce_to_g,
@@ -421,6 +423,15 @@ def test_solve_exact_checks_extra_rows():
         modrep._solve_exact([[1, 2], [2, 4], [3, 6]], [1, 2, 3])
 
 
+def test_verify_guard_raises_before_h0_blocks(monkeypatch):
+    def fail(p, m):
+        raise AssertionError("h0_blocks must not run past the guard")
+
+    monkeypatch.setattr(modrep, "h0_blocks", fail)
+    with pytest.raises(GuardError, match="dim H0 = 420.*--force.*force=True"):
+        modrep.verify_full(7, 11)
+
+
 def test_verify_guard_raises_before_matrix_work(monkeypatch):
     def fail(p, m):
         raise AssertionError("h0_module must not run past the guard")
@@ -428,6 +439,59 @@ def test_verify_guard_raises_before_matrix_work(monkeypatch):
     monkeypatch.setattr(modrep, "h0_module", fail)
     with pytest.raises(GuardError, match="dim H0 = 420.*--force.*force=True"):
         modrep.verify_full(7, 11)
+
+
+# -- grading blocks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 3), (7, 4), (11, 2), (13, 3)])
+def test_h0_blocks_sum_to_h0_module(p, m):
+    blocks = h0_blocks(p, m)
+    assert list(blocks) == sorted(blocks)
+    total = functools.reduce(direct_sum, blocks.values())
+    mod = h0(p, m)
+    assert total.dim == mod.dim and set(total.gens) == set(mod.gens)
+    for name, mat in mod.gens.items():
+        assert total.gens[name] == mat, name
+
+
+def test_block_brauer_counts_sum_to_h0_counts():
+    for p, m in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3)]:
+        per_block = [modrep._brauer_counts(b) for b in h0_blocks(p, m).values()]
+        assert tuple(map(sum, zip(*per_block))) == modrep._brauer_counts(h0(p, m)), (p, m)
+
+
+def test_h0_blocks_refuses_oversize_before_building_a_basis(monkeypatch):
+    def fail(q, m):
+        raise AssertionError("BasisSet must not be built past the cell cap")
+
+    monkeypatch.setattr(modrep, "BasisSet", fail)
+    with pytest.raises(ValueError, match="action matrix of dimension 6032 exceeds 33554432 cells"):
+        h0_blocks(31, 7)
+
+
+def test_oracle_errors_name_the_grading_block(monkeypatch):
+    # rho(t) = I on block 5 of (5, 2): log rho(u) does not lower its weights
+    blocks = dict(h0_blocks(5, 2))
+    ctx, bad = field(5), blocks[5]
+    eye = FqMatrix.identity(ctx, bad.dim)
+    blocks[5] = ModuleRep(ctx, bad.dim, dict(bad.gens, t=eye))
+    monkeypatch.setattr(modrep, "h0_blocks", lambda p, m: blocks)
+    with pytest.raises(InconsistencyError, match=r"^grading block 5 \(dim 6\): log rho\(u\)"):
+        modrep.verify_full(5, 2)
+    # validate inside h0_blocks names the block too
+    real = modrep.block_action_matrices
+
+    def tampered(sigma, basis):
+        out = real(sigma, basis)
+        if sigma == t_gen(ctx):
+            out[5] = eye
+        return out
+
+    monkeypatch.undo()
+    monkeypatch.setattr(modrep, "block_action_matrices", tampered)
+    with pytest.raises(ValueError, match=r"^grading block 5 \(dim 6\): rho\(t\) rho\(u\)"):
+        h0_blocks(5, 2)
 
 
 # -- induction ----------------------------------------------------------------------
