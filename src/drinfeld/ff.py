@@ -16,7 +16,12 @@ r products A_k @ (B * x^k) over the digit planes A_k of A, with the shifts
 B * x^k from FieldCtx._shifts, which also builds the MUL table.  Tables are
 built only for q <= TABLE_MAX_Q = 2048; a larger field raises ValueError.
 The *_array functions are the prime-field entry points on plain residue
-arrays.
+arrays.  One of them exists over the prime field only: charpoly_array
+reduces a square matrix to upper Hessenberg form by similarity (per pivot,
+one row operation and the inverse column operation) and reads the
+characteristic polynomial off the Hessenberg recurrence;
+poly_multiplicity counts how often a monic factor divides such a
+polynomial, by repeated exact division.
 
 Everything is exact.  The one use of floating point is matmul, which runs
 its products as float64 BLAS products: every operand entry is a residue or
@@ -48,6 +53,8 @@ __all__ = [
     "rref_array",
     "kernel_array",
     "rank_array",
+    "charpoly_array",
+    "poly_multiplicity",
     "inv_array",
     "matpow_array",
 ]
@@ -82,18 +89,36 @@ def _poly_trim(a):
     return a
 
 
-def _poly_rem(a, b, p):
-    # remainder of a mod b; b monic
+def _poly_divmod(a, b, p):
+    # quotient and trimmed remainder of a by b; b monic
     a = list(a)
     db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
     while len(a) - 1 >= db and a:
         c = a[-1]
         if c:
             shift = len(a) - 1 - db
+            q[shift] = c
             for k in range(db + 1):
                 a[shift + k] = (a[shift + k] - c * b[k]) % p
         a.pop()
-    return _poly_trim(a)
+    return q, _poly_trim(a)
+
+
+def _poly_rem(a, b, p):
+    return _poly_divmod(a, b, p)[1]
+
+
+def poly_multiplicity(f, g, p):
+    """How often the monic g divides f mod p (residue lists, low degree
+    first), by repeated exact division; returns the count and the cofactor."""
+    k = 0
+    while len(f) >= len(g):
+        q, r = _poly_divmod(f, g, p)
+        if r:
+            break
+        f, k = q, k + 1
+    return k, f
 
 
 def _is_irreducible(f, p):
@@ -433,14 +458,16 @@ def inv(ctx, e):
 
 
 def _rref(ctx, A):
-    # reduces A in place; the caller passes an array it owns
-    rows, cols = A.shape
+    # reduces A in place; the caller passes an array it owns.  A column that
+    # is zero on entry stays zero under row operations, so only the columns
+    # nonzero on entry are scanned.
+    rows = A.shape[0]
     piv = []
     r = 0
-    for c in range(cols):
+    for c in A.any(axis=0).nonzero()[0].tolist():
         if r == rows:
             break
-        nz = np.flatnonzero(A[r:, c])
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -449,11 +476,11 @@ def _rref(ctx, A):
         a = int(A[r, c])
         if a != 1:
             A[r] = ctx.mul(ctx.pinv(a), A[r])
-        colv = A[:, c].copy()
-        colv[r] = 0
-        nzr = np.flatnonzero(colv)
+        A[r, c] = 0  # the packed one is 1; cleared so the scan skips row r
+        nzr = A[:, c].nonzero()[0]
+        A[r, c] = 1
         if nzr.size:
-            A[nzr] = ctx.submul(A[nzr], colv[nzr][:, None], A[r])
+            A[nzr] = ctx.submul(A[nzr], A[nzr, c, None], A[r])
         piv.append(c)
         r += 1
     return A, piv
@@ -493,6 +520,46 @@ def _matpow(ctx, A, k):
     return result
 
 
+def _charpoly(ctx, H):
+    # reduces H in place to upper Hessenberg form by similarity, then runs
+    # the Hessenberg recurrence (Cohen, A Course in Computational Algebraic
+    # Number Theory, 1993, Algorithm 2.2.9); prime fields only.  Each pivot
+    # is also scaled to 1, so every subdiagonal entry ends up 0 or 1.
+    n, p = H.shape[0], ctx.p
+    for m in range(1, n):
+        nz = H[m:, m - 1].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = m + int(nz[0])
+        if i != m:
+            H[[m, i]] = H[[i, m]]
+            H[:, [m, i]] = H[:, [i, m]]
+        h = int(H[m, m - 1])
+        if h != 1:
+            H[m, m - 1 :] = ctx.mul(ctx.pinv(h), H[m, m - 1 :])
+            H[:, m] = ctx.mul(h, H[:, m])
+        # row j -= u_j row m for j > m, then column m += sum_j u_j column j
+        j = H[m + 1 :, m - 1].nonzero()[0] + (m + 1)
+        if j.size:
+            u = H[j, m - 1, None]
+            H[j, m - 1 :] = ctx.submul(H[j, m - 1 :], u, H[m, m - 1 :])
+            H[:, m] = (H[:, m] + ctx.matmul(H[:, j], u)[:, 0]) % p
+    # P[k] is the characteristic polynomial of the leading k x k block.  The
+    # subdiagonal entries are 0 or 1, so with lo the last index up to k whose
+    # H[lo, lo-1] is 0 (or 0), P[k+1] = x P[k] - sum_{lo<=i<=k} H[i, k] P[i]
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    lo = 0
+    for k in range(n):
+        if k and not H[k, k - 1]:
+            lo = k
+        P[k + 1, 1 : k + 2] = P[k, : k + 1]
+        P[k + 1, : k + 1] = ctx.submul(
+            P[k + 1, : k + 1], 1, ctx.matmul(H[None, lo : k + 1, k], P[lo : k + 1, : k + 1])[0]
+        )
+    return P[n]
+
+
 # ---------------------------------------------------------------------------
 # prime-field entry points (residues mod p in int64 numpy arrays)
 
@@ -519,6 +586,15 @@ def rank_array(A, p):
 def kernel_array(A, p):
     """Columns spanning the right null space {x : A x = 0} mod p."""
     return _kernel(_prime_field(p), _as_array(A, p))
+
+
+def charpoly_array(A, p):
+    """Characteristic polynomial det(x I - A) of a square matrix mod p: a
+    monic residue array of length n + 1, low degree first."""
+    A = _as_array(A, p)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("charpoly needs a square matrix")
+    return _charpoly(_prime_field(p), A)
 
 
 def inv_array(A, p):

@@ -10,14 +10,16 @@ not rho(u) - I, because only the logarithm moves every weight by exactly -2.
 Induction is realized through an explicit coset transversal.  Composition
 factors over the full group come from Brauer characters: every p-regular
 element of SL2(p) is conjugate into the split torus <t> or a non-split torus
-<c>, so eigenvalue counts of rho(t) and rho(c) (ranks mod p) fix the factors,
-solved against the same counts of V_1..V_p.  verify_full and cartan_check
-use them; the iterated-socle oracle comp_factors_oracle is kept as the
-small-size cross-check.  The Cartan system ties the correspondent factor
-tables back to oracle counts.  All arithmetic is exact: residues mod p in
-int64 arrays, every mod-p product taken by FieldCtx.matmul (float64 BLAS
-under its asserted 2^53 exactness bound), and Fractions for the Brauer and
-Cartan solves.
+<c>, so eigenvalue counts of rho(t) and rho(c) fix the factors, solved
+against the same counts of V_1..V_p.  Both operators are semisimple, so each
+count is the multiplicity of a known factor of a characteristic polynomial
+mod p.  verify_full and cartan_check use them; the iterated-socle oracle
+comp_factors_oracle is kept as the small-size cross-check.  The Cartan
+system ties the correspondent factor tables back to oracle counts.  All
+arithmetic is exact: residues mod p in int64 arrays, every mod-p product
+taken by FieldCtx.matmul (float64 BLAS under its asserted 2^53 exactness
+bound), and Fractions for the Brauer and Cartan solves, whose eliminations
+depend only on p and run once per p.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from .curve import (
 )
 from .ff import (
     FqMatrix,
+    charpoly_array,
     inv_array,
     kernel_array,
     make_field,
     matpow_array,
-    rank_array,
+    poly_multiplicity,
     rref_array,
 )
 
@@ -478,44 +481,51 @@ def _brauer_counts(mod):
     """Eigenvalue counts of the split torus generator t and of the non-split
     c = u^a w, which fix the Brauer character of a G-module.
 
-    The split part is dim ker(rho(t) - zeta^a) for a = 0..p-2.  The eigenvalues
-    of rho(c) are powers lambda^k in F_{p^2}, and lambda^k, lambda^-k are
-    Frobenius conjugates with equal multiplicity, so the non-split part is
-    dim ker(C - I), dim ker(C + I), then the multiplicity of each pair,
-    (n - rank(C^2 - tau_k C + I)) / 2 for k = 1..(p-1)/2.
+    Both operators are semisimple (rho(t)^(p-1) = I, asserted by validate,
+    and rho(c)^(p+1) = I, asserted here; neither order is divisible by p), so
+    each count is the multiplicity of a factor of a characteristic polynomial.
+    The split part is the multiplicity of x - zeta^a in charpoly(rho(t)) for
+    a = 0..p-2.  The eigenvalues of rho(c) are powers lambda^k in F_{p^2},
+    and lambda^k, lambda^-k are Frobenius conjugates with equal multiplicity,
+    so the non-split part is the multiplicity of x - 1 and of x + 1 in
+    charpoly(rho(c)), then that of x^2 - tau_k x + 1 for k = 1..(p-1)/2.
     """
     ctx = mod.field
     p, n = ctx.p, mod.dim
     arr = mod.arrays()
-    eye = np.eye(n, dtype=np.int64)
-    split = [n - rank_array(arr["t"] - pow(ctx.zeta, a, p) * eye, p) for a in range(p - 1)]
+
+    def factor_counts(M, factors):  # multiplicities in charpoly(M), in order
+        chi, counts = charpoly_array(M, p).tolist(), []
+        for g in factors:
+            k, chi = poly_multiplicity(chi, g, p)
+            counts.append(k)
+        return counts
+
+    split = factor_counts(arr["t"], [(-pow(ctx.zeta, a, p) % p, 1) for a in range(p - 1)])
     if sum(split) != n:
         raise InconsistencyError(f"rho(t) eigenspaces span {sum(split)} of {n} dimensions")
     a, tau = _nonsplit_traces(p)
     C = ctx.matmul(matpow_array(arr["u"], a, p), arr["w"])
-    C2 = ctx.matmul(C, C)
-    nonsplit = [n - rank_array(C - eye, p), n - rank_array(C + eye, p)]
-    for k in range(1, (p + 1) // 2):
-        free = n - rank_array(C2 - tau[k] * C + eye, p)
-        if free % 2:
-            raise InconsistencyError(f"odd eigenvalue-pair count {free} of rho(c) at k={k}")
-        nonsplit.append(free // 2)
+    if not np.array_equal(matpow_array(C, p + 1, p), np.eye(n, dtype=np.int64)):
+        raise InconsistencyError(f"rho(c)^(p+1) != I for c = u^{a} w")
+    pairs = [(1, -tau[k] % p, 1) for k in range(1, (p + 1) // 2)]
+    nonsplit = factor_counts(C, [(p - 1, 1), (1, 1)] + pairs)
     if nonsplit[0] + nonsplit[1] + 2 * sum(nonsplit[2:]) != n:
         raise InconsistencyError(f"rho(c) eigenspaces do not span {n} dimensions")
     return tuple(split + nonsplit)
 
 
 @lru_cache(maxsize=None)
-def _simple_brauer_counts(p):
-    """Count vectors of V_1..V_p, one tuple per simple."""
-    return tuple(_brauer_counts(simple_module(t, p)) for t in range(1, p + 1))
+def _count_solver(p):
+    """_exact_solver of the count system of V_1..V_p: one column per simple."""
+    simples = [_brauer_counts(simple_module(t, p)) for t in range(1, p + 1)]
+    return _exact_solver([list(row) for row in zip(*simples)])
 
 
 def _factors_from_counts(counts, p, dim):
     """Solve counts = sum_t d_t counts(V_t) exactly; the extra rows of the
     overdetermined system must agree, and validate rejects negative d_t."""
-    system = [list(row) for row in zip(*_simple_brauer_counts(p))]
-    x = _solve_exact(system, counts)
+    x = _count_solver(p)(counts)
     if any(v.denominator != 1 for v in x):
         raise InconsistencyError(f"Brauer counts solve to {[str(v) for v in x]}, not integers")
     return CompFactorVector(p, {t: int(v) for t, v in enumerate(x, 1)}).validate(dim)
@@ -631,6 +641,52 @@ def _solve_exact(A, rhs):
     return [M[i][n] for i in range(n)]
 
 
+def _exact_solver(A):
+    """_solve_exact(A, .) with its elimination done once: returns a function
+    rhs -> the same solution, raising the same errors.
+
+    The row operations of _solve_exact depend on A alone, so they are run
+    once on [A | I], which records them as a rational matrix E with
+    E A = [I; 0].  Scaled by a common denominator to integers, E gives the
+    solution as the first rows of E rhs; the rows beyond them must be zero.
+    """
+    rows, n = len(A), len(A[0])
+    M = [[Fraction(v) for v in A[i]] + [Fraction(int(i == j)) for j in range(rows)]
+         for i in range(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, rows) if M[r][col] != 0), None)
+        if pivot is None:
+            raise RuntimeError("singular system; projective factors or simple counts mis-encoded")
+        M[col], M[pivot] = M[pivot], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [v * inv for v in M[col]]
+        for r in range(rows):
+            if r != col and M[r][col]:
+                f = M[r][col]
+                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
+    den = math.lcm(*(v.denominator for row in M for v in row[n:]))
+    E = [[int(v * den) for v in row[n:]] for row in M]
+
+    def solve(rhs):
+        y = [sum(e * b for e, b in zip(row, rhs)) for row in E]
+        if any(y[n:]):
+            raise InconsistencyError("overdetermined system is inconsistent")
+        return [Fraction(v, den) for v in y[:n]]
+
+    return solve
+
+
+@lru_cache(maxsize=None)
+def _cartan_solver(p):
+    """_exact_solver of the Cartan matrix: column s holds the factors of the
+    projective cover P_{V_s}."""
+    cartan = [[0] * p for _ in range(p)]
+    for s in range(1, p + 1):
+        for t, k in closedform.proj_cover_factors(s, p).items():
+            cartan[t - 1][s - 1] = k
+    return _exact_solver(cartan)
+
+
 @dataclass(frozen=True)
 class CartanCertificate:
     ok: bool
@@ -646,11 +702,7 @@ def cartan_check(a, b, p):
         raise ValueError(f"b must lie in [1, {p - 1}], got {b}")
     ell = comp_factors_brauer(induce_to_g(uab_module(a, b, p)))
     residual = [ell.mult[t] - closedform.c_abt(a, b, t, p) for t in range(1, p + 1)]
-    cartan = [[0] * p for _ in range(p)]
-    for s in range(1, p + 1):
-        for t, k in closedform.proj_cover_factors(s, p).items():
-            cartan[t - 1][s - 1] = k
-    x = _solve_exact(cartan, residual)
+    x = _cartan_solver(p)(residual)
     ok = all(v.denominator == 1 and v >= 0 for v in x)
     cert = tuple(int(v) if v.denominator == 1 else v for v in x)
     return CartanCertificate(ok, cert, tuple(residual))

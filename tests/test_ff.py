@@ -2,17 +2,22 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from drinfeld.ff import (
     FieldCtx,
     FqMatrix,
     _poly_rem,
+    charpoly_array,
     inv,
+    inv_array,
     kernel_array,
     kernel_basis,
     make_field,
+    poly_multiplicity,
     rank,
     rank_array,
     rank_of_power,
@@ -427,3 +432,106 @@ def test_singular_inverse_raises():
     M = FqMatrix(ctx, np.array([[1, 2], [2, 4]]))
     with pytest.raises(ValueError):
         M.inv()
+
+
+# -- characteristic polynomial and rref against sympy ---------------------------
+
+
+def _domain_matrix(A, p):
+    K = GF(p)
+    return DomainMatrix([[K(int(v)) for v in row] for row in A], A.shape, K)
+
+
+def _hidden_blocks(p, blocks, rng):
+    """Block diagonal of lam I + N for (lam, size) in blocks, N a random 0/1
+    superdiagonal (so some blocks are not semisimple), under a random change
+    of basis."""
+    n = sum(k for _, k in blocks)
+    D = np.zeros((n, n), dtype=np.int64)
+    start = 0
+    for lam, k in blocks:
+        D[start : start + k, start : start + k] = lam * np.eye(k, dtype=np.int64)
+        D[start : start + k, start : start + k] += np.diag(rng.integers(0, 2, size=k - 1), 1)
+        start += k
+    while True:
+        P = rng.integers(0, p, size=(n, n))
+        try:
+            Pinv = inv_array(P, p)
+            break
+        except ValueError:
+            continue
+    ctx = field(p)
+    return ctx.matmul(ctx.matmul(P, D), Pinv)
+
+
+@st.composite
+def charpoly_matrices(draw):
+    p = draw(st.sampled_from([3, 5, 7, 31, 61]))
+    n = draw(st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        return p, rng.integers(0, p, size=(n, n))
+    # eigenvalues drawn from a small set, so they repeat
+    blocks = []
+    while sum(k for _, k in blocks) < n:
+        k = min(n - sum(k for _, k in blocks), draw(st.integers(min_value=1, max_value=4)))
+        blocks.append((draw(st.sampled_from([0, 1, p - 1])), k))
+    return p, _hidden_blocks(p, blocks, rng)
+
+
+# n = 40 with eigenvalues 1, -1 and 0 of multiplicity 16, 12 and 12
+_BLOCKS_40 = [(1, 4)] * 4 + [(60, 3)] * 4 + [(0, 2)] * 6
+
+
+# sympy's charpoly over GF(p) is pure-Python Berkowitz, about 1.5 s at n = 40
+@settings(max_examples=20, deadline=None)
+@given(charpoly_matrices())
+@example((61, _hidden_blocks(61, _BLOCKS_40, np.random.default_rng(3))))
+def test_charpoly_matches_sympy(data):
+    p, A = data
+    got = charpoly_array(A, p)
+    assert got.dtype == np.int64 and got.shape == (A.shape[0] + 1,)
+    want = [int(c) % p for c in _domain_matrix(A, p).charpoly()][::-1]
+    assert got.tolist() == want
+
+
+def test_poly_multiplicity_counts_exact_divisions():
+    # mod 7: f = (x - 3)^2 (x^2 + 1)^3, and x^2 + 1 has no root mod 7
+    lin, quad = [4, 1], [1, 0, 1]
+    quad3 = _poly_mul(_poly_mul(quad, quad, 7), quad, 7)
+    f = _poly_mul(_poly_mul(lin, lin, 7), quad3, 7)
+    assert poly_multiplicity(f, lin, 7) == (2, quad3)
+    assert poly_multiplicity(f, quad, 7) == (3, _poly_mul(lin, lin, 7))
+    assert poly_multiplicity(f, [6, 1], 7) == (0, f)
+    assert poly_multiplicity([1], [6, 1], 7) == (0, [1])
+
+
+def test_charpoly_rejects_non_square():
+    with pytest.raises(ValueError):
+        charpoly_array(np.zeros((2, 3), dtype=np.int64), 5)
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    p = draw(st.sampled_from([3, 5, 7, 31]))
+    rows, cols = (draw(st.integers(min_value=0, max_value=10)) for _ in range(2))
+    cells = st.integers(min_value=0, max_value=p - 1)
+    A = np.array(draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
+    A = A.reshape(rows, cols)
+
+    def mask(size):
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+
+    A[mask(rows)] = 0
+    A[:, mask(cols)] = 0
+    return p, A
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_with_zero_lines())
+def test_rref_matches_sympy_with_zero_rows_and_columns(data):
+    p, A = data
+    R, piv = rref_array(A, p)
+    want_R, want_piv = _domain_matrix(A, p).rref()
+    assert piv == list(want_piv)
+    assert R.tolist() == [[int(v) % p for v in row] for row in want_R.to_list()]

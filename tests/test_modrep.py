@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from drinfeld import modrep
 from drinfeld.closedform import BLabel, InconsistencyError
 from drinfeld.curve import GroupElement, action_matrix, enumerate_basis
-from drinfeld.ff import FqMatrix, inv_array, rank_of_power
+from drinfeld.ff import FqMatrix, inv_array, matpow_array, rank_array, rank_of_power
 from drinfeld.modrep import (
     CompFactorVector,
     GuardError,
@@ -421,6 +421,61 @@ def test_solve_exact_checks_extra_rows():
         modrep._solve_exact([[1, 0], [0, 2], [1, 1]], [1, 4, 4])
     with pytest.raises(RuntimeError):
         modrep._solve_exact([[1, 2], [2, 4], [3, 6]], [1, 2, 3])
+
+
+def _rank_brauer_counts(mod):
+    """The eigenspace dimensions, by one rank per eigenvalue: the reference
+    for the characteristic-polynomial counts of _brauer_counts."""
+    ctx, n = mod.field, mod.dim
+    p, arr, eye = ctx.p, mod.arrays(), np.eye(mod.dim, dtype=np.int64)
+    split = [n - rank_array(arr["t"] - pow(ctx.zeta, a, p) * eye, p) for a in range(p - 1)]
+    a, tau = modrep._nonsplit_traces(p)
+    C = ctx.matmul(matpow_array(arr["u"], a, p), arr["w"])
+    nonsplit = [n - rank_array(C - eye, p), n - rank_array(C + eye, p)]
+    C2 = ctx.matmul(C, C)
+    for k in range(1, (p + 1) // 2):
+        free = n - rank_array(C2 - tau[k] * C + eye, p)
+        assert free % 2 == 0
+        nonsplit.append(free // 2)
+    return tuple(split + nonsplit)
+
+
+def test_brauer_counts_match_eigenspace_ranks():
+    mods = [b for p, m in [(5, 3), (7, 3), (11, 2)] for b in h0_blocks(p, m).values()]
+    mods += [induce_to_g(uab_module(a, b, 7)) for a, b in [(0, 1), (3, 4), (5, 6)]]
+    for mod in mods:
+        assert modrep._brauer_counts(mod) == _rank_brauer_counts(mod)
+
+
+def test_brauer_rejects_c_of_wrong_order(monkeypatch):
+    # c = u^0 w = w has order 4, and w^6 = -I acts as -1 on V_2
+    tau = modrep._nonsplit_traces(5)[1]
+    monkeypatch.setattr(modrep, "_nonsplit_traces", lambda p: (0, tau))
+    with pytest.raises(InconsistencyError, match=r"rho\(c\)\^\(p\+1\) != I for c = u\^0 w"):
+        modrep._brauer_counts(simple_module(2, 5))
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (InconsistencyError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_solver_matches_solve_exact(data):
+    n = data.draw(st.integers(1, 5))
+    rows = n + data.draw(st.integers(0, 3))
+    entries = st.integers(-3, 3)
+    A = [[data.draw(entries) for _ in range(n)] for _ in range(rows)]
+    if data.draw(st.booleans()):  # a consistent right-hand side
+        x = [data.draw(entries) for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in A]
+    else:
+        rhs = [data.draw(entries) for _ in range(rows)]
+    want = _outcome(lambda: modrep._solve_exact(A, rhs))
+    assert _outcome(lambda: modrep._exact_solver(A)(rhs)) == want
 
 
 def test_verify_guard_raises_before_h0_blocks(monkeypatch):
