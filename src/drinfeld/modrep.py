@@ -7,6 +7,10 @@ decompose each block and sum the results, and an error on a block names it.
 A restriction to the Borel subgroup is split by the ranks of the powers of
 L = log rho(u) on the torus weight spaces V_c = ker(rho(t) - zeta^c); L and
 not rho(u) - I, because only the logarithm moves every weight by exactly -2.
+The split runs in one basis of weight vectors, the row spaces of the
+projectors that a DFT of the powers of rho(t) gives: there L must have the
+block pattern V_c -> V_{c-2}, and each rank is a count of pivot columns in one
+elimination per power of L.
 Induction is realized through an explicit coset transversal.  Composition
 factors over the full group come from Brauer characters: every p-regular
 element of SL2(p) is conjugate into the split torus <t> or a non-split torus
@@ -318,6 +322,23 @@ def _row_space(A, p):
     return R[: len(piv)], piv
 
 
+def _power_stack(ctx, M, count):
+    """M^0 .. M^(count-1) as one (count, n, n) array, by doubling: while
+    the stack holds M^0 .. M^(j-1), one matmul of it by M^j adds M^j ..
+    M^(2j-1)."""
+    n = M.shape[0]
+    out = np.empty((count, n, n), dtype=np.int64)
+    out[0] = np.eye(n, dtype=np.int64)
+    j, step = 1, M  # step = M^j
+    while j < count:
+        k = min(j, count - j)
+        out[j : j + k] = ctx.matmul(out[:k].reshape(k * n, n), step).reshape(k, n, n)
+        j += k
+        if j < count:
+            step = ctx.matmul(step, step)
+    return out
+
+
 def decompose_b_oracle(mod):
     """Split a B-module into uniserial summands U_{a,b} by pure matrix work.
 
@@ -331,6 +352,14 @@ def decompose_b_oracle(mod):
     number of blocks of size >= b with socle weight a is
     r_c(b-1) - r_c(b), where r_c(k) = dim V_c L^k and c = a + 2(b-1)
     mod p-1, and n_{a,b} is the drop in that count from b to b+1.
+
+    The work runs in one basis of weight vectors.  rho(t)^(p-1) = I is
+    asserted, so V_c is the row space of the projector E_c = -sum_k
+    zeta^(-ck) rho(t)^k; one product of the DFT matrix with the stacked
+    powers gives all p-1 of them.  Their bases, stacked in order of c, form
+    P, and L' = P L P^-1 must be zero off the blocks (c, c-2): that is the
+    weight check.  Each r_c(k) is then a count of pivot columns in one
+    elimination per k.
     Returns {BLabel(a, b): n}.
     """
     if mod.group != "B":
@@ -339,41 +368,56 @@ def decompose_b_oracle(mod):
     p, n = ctx.p, mod.dim
     arr = mod.arrays()
     eye = np.eye(n, dtype=np.int64)
-    N = (arr["u"] - eye) % p
-    L, Nk = np.zeros_like(N), N
-    for k in range(1, p):
-        L = (L + pow((-1) ** (k + 1) * k, -1, p) * Nk) % p
-        Nk = ctx.matmul(Nk, N)
-    if np.any(Nk):
+    Npow = _power_stack(ctx, (arr["u"] - eye) % p, p + 1)  # N^0 .. N^p
+    if np.any(Npow[p]):
         raise ValueError("rho(u) is not unipotent of order dividing p")
-    ranks = []  # ranks[c][k] = dim V_c L^k for k = 0..p+1
-    for c in range(p - 1):
-        rows = kernel_array((arr["t"] - pow(ctx.zeta, c, p) * eye).T, p).T
-        img = ctx.matmul(rows, L)
-        if not np.array_equal(ctx.matmul(img, arr["t"]), pow(ctx.zeta, c - 2, p) * img % p):
-            raise InconsistencyError(f"log rho(u) does not map weight {c} to weight {c - 2}")
-        r = [rows.shape[0]]
-        while r[-1]:
-            rows = _row_space(img, p)[0]
-            r.append(rows.shape[0])
-            img = ctx.matmul(rows, L)
-        ranks.append(r + [0] * (p + 2 - len(r)))
-    span = sum(r[0] for r in ranks)
-    if span != n:
-        raise InconsistencyError(f"rho(t) eigenspaces span {span} of {n} dimensions")
-
-    def blocks_ge(a, b):  # Jordan blocks of size >= b whose socle has weight a
-        r = ranks[(a + 2 * (b - 1)) % (p - 1)]
-        return r[b - 1] - r[b]
-
-    out = {}
-    for b in range(1, p + 1):
-        for a in range(p - 1):
-            n_ab = blocks_ge(a, b) - blocks_ge(a, b + 1)
-            if n_ab < 0:
-                raise InconsistencyError(f"negative multiplicity at (a={a}, b={b})")
-            if n_ab:
-                out[BLabel(a, b)] = n_ab
+    log_coef = [[pow((-1) ** (k + 1) * k, -1, p) for k in range(1, p)]]
+    L = ctx.matmul(log_coef, Npow[1:p].reshape(p - 1, n * n)).reshape(n, n)
+    Tpow = _power_stack(ctx, arr["t"], p)  # rho(t)^0 .. rho(t)^(p-1)
+    if not np.array_equal(Tpow[p - 1], eye):
+        raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
+    zpow = np.array([pow(ctx.zeta, e, p) for e in range(p - 1)])
+    exps = np.arange(p - 1)
+    dft = -zpow[-np.outer(exps, exps) % (p - 1)] % p  # dft[c, k] = -zeta^(-ck)
+    proj = ctx.matmul(dft, Tpow[: p - 1].reshape(p - 1, n * n)).reshape(p - 1, n, n)
+    bases = [_row_space(E, p)[0] for E in proj]
+    dims = [V.shape[0] for V in bases]
+    if sum(dims) != n:
+        raise InconsistencyError(f"rho(t) eigenspaces span {sum(dims)} of {n} dimensions")
+    P = np.vstack(bases)
+    Lw = ctx.matmul(ctx.matmul(P, L), inv_array(P, p))
+    weight = np.repeat(exps, dims)  # the weight of each basis vector
+    off = (Lw != 0) & (weight[None, :] != (weight[:, None] - 2) % (p - 1))
+    bad = off.any(axis=1).nonzero()[0]
+    if bad.size:
+        c = int(weight[bad[0]])
+        raise InconsistencyError(f"log rho(u) does not map weight {c} to weight {c - 2}")
+    # The chain R_k = rref(R_(k-1) L'), from R_0 = I.  Every row of R_k lies
+    # in one column block of P: the rows of R_(k-1) do, L' maps block c into
+    # block c-2, and an elimination step only combines rows that share a
+    # nonzero column.  So the rows of R_k in block c-2k span V_c L^k, and
+    # r_c(k) is the number of pivot columns of R_k in that block.  L^p = 0
+    # ends the chain by k = p.
+    ranks = np.zeros((p - 1, p + 2), dtype=np.int64)  # ranks[c, k] = r_c(k)
+    ranks[:, 0] = dims
+    R = Lw
+    for k in range(1, p + 1):
+        R, piv = _row_space(R, p)
+        if not piv:
+            break
+        ranks[:, k] = np.bincount((weight[piv] + 2 * k) % (p - 1), minlength=p - 1)
+        R = ctx.matmul(R, Lw)
+    # ge[a, b-1]: the Jordan blocks of size >= b whose socle has weight a,
+    # for b = 1..p+1; mult[b-1, a] = n_{a,b}, so argwhere runs over b, then a
+    a, b = np.arange(p - 1)[:, None], np.arange(1, p + 2)
+    c = (a + 2 * (b - 1)) % (p - 1)
+    ge = ranks[c, b - 1] - ranks[c, b]
+    mult = (ge[:, :-1] - ge[:, 1:]).T
+    neg = np.argwhere(mult < 0)
+    if neg.size:
+        b, a = neg[0].tolist()
+        raise InconsistencyError(f"negative multiplicity at (a={a}, b={b + 1})")
+    out = {BLabel(a, b + 1): int(mult[b, a]) for b, a in np.argwhere(mult).tolist()}
     if sum(lab.b * k for lab, k in out.items()) != n:
         raise InconsistencyError("recovered summands do not fill the module")
     return out
@@ -494,14 +538,22 @@ def _brauer_counts(mod):
     p, n = ctx.p, mod.dim
     arr = mod.arrays()
 
-    def factor_counts(M, factors):  # multiplicities in charpoly(M), in order
-        chi, counts = charpoly_array(M, p).tolist(), []
+    def factor_counts(chi, factors):  # multiplicities in chi, in order
+        counts = []
         for g in factors:
             k, chi = poly_multiplicity(chi, g, p)
             counts.append(k)
         return counts
 
-    split = factor_counts(arr["t"], [(-pow(ctx.zeta, a, p) % p, 1) for a in range(p - 1)])
+    # chi(zeta^a) for every a at once, from the table of powers zeta^(a j);
+    # only the x - zeta^a with chi(zeta^a) = 0 are divided out
+    chi = charpoly_array(arr["t"], p)
+    zpow = [pow(ctx.zeta, e, p) for e in range(p - 1)]
+    table = np.array(zpow)[np.outer(range(p - 1), range(n + 1)) % (p - 1)]
+    roots = (ctx.matmul(table, chi[:, None])[:, 0] == 0).nonzero()[0].tolist()
+    split = [0] * (p - 1)
+    for a, k in zip(roots, factor_counts(chi.tolist(), [(-zpow[a] % p, 1) for a in roots])):
+        split[a] = k
     if sum(split) != n:
         raise InconsistencyError(f"rho(t) eigenspaces span {sum(split)} of {n} dimensions")
     a, tau = _nonsplit_traces(p)
@@ -509,7 +561,7 @@ def _brauer_counts(mod):
     if not np.array_equal(matpow_array(C, p + 1, p), np.eye(n, dtype=np.int64)):
         raise InconsistencyError(f"rho(c)^(p+1) != I for c = u^{a} w")
     pairs = [(1, -tau[k] % p, 1) for k in range(1, (p + 1) // 2)]
-    nonsplit = factor_counts(C, [(p - 1, 1), (1, 1)] + pairs)
+    nonsplit = factor_counts(charpoly_array(C, p).tolist(), [(p - 1, 1), (1, 1)] + pairs)
     if nonsplit[0] + nonsplit[1] + 2 * sum(nonsplit[2:]) != n:
         raise InconsistencyError(f"rho(c) eigenspaces do not span {n} dimensions")
     return tuple(split + nonsplit)

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from drinfeld import modrep
 from drinfeld.closedform import BLabel, InconsistencyError
 from drinfeld.curve import GroupElement, action_matrix, enumerate_basis
-from drinfeld.ff import FqMatrix, inv_array, matpow_array, rank_array, rank_of_power
+from drinfeld.ff import (
+    FqMatrix,
+    inv_array,
+    kernel_array,
+    matpow_array,
+    rank_array,
+    rank_of_power,
+    rref_array,
+)
 from drinfeld.modrep import (
     CompFactorVector,
     GuardError,
@@ -264,6 +272,143 @@ def test_b_oracle_on_conjugated_random_sums(data):
     }
     hidden = ModuleRep(ctx, mod.dim, gens).validate()
     assert decompose_b_oracle(hidden) == dict(Counter(BLabel(a, b) for a, b in labels))
+
+
+def _kernel_chain_b_labels(mod):
+    """The B-labels from one kernel per weight space V_c = ker(rho(t) -
+    zeta^c) and one chain of row spaces V_c L^k per weight, in the original
+    basis, with the same errors: the reference for the weight-basis chain of
+    decompose_b_oracle."""
+    ctx, n = mod.field, mod.dim
+    p, arr, eye = ctx.p, mod.arrays(), np.eye(mod.dim, dtype=np.int64)
+    N = (arr["u"] - eye) % p
+    L, Nk = np.zeros_like(N), N
+    for k in range(1, p):
+        L = (L + pow((-1) ** (k + 1) * k, -1, p) * Nk) % p
+        Nk = ctx.matmul(Nk, N)
+    if Nk.any():
+        raise ValueError("rho(u) is not unipotent of order dividing p")
+    ranks = []  # ranks[c][k] = dim V_c L^k
+    for c in range(p - 1):
+        rows = kernel_array((arr["t"] - pow(ctx.zeta, c, p) * eye).T, p).T
+        img = ctx.matmul(rows, L)
+        if not np.array_equal(ctx.matmul(img, arr["t"]), pow(ctx.zeta, c - 2, p) * img % p):
+            raise InconsistencyError(f"log rho(u) does not map weight {c} to weight {c - 2}")
+        r = [rows.shape[0]]
+        while r[-1]:
+            R, piv = rref_array(img, p)
+            r.append(len(piv))
+            img = ctx.matmul(R[: len(piv)], L)
+        ranks.append(r + [0] * (p + 2 - len(r)))
+    span = sum(r[0] for r in ranks)
+    if span != n:
+        raise InconsistencyError(f"rho(t) eigenspaces span {span} of {n} dimensions")
+
+    def blocks_ge(a, b):
+        r = ranks[(a + 2 * (b - 1)) % (p - 1)]
+        return r[b - 1] - r[b]
+
+    out = {}
+    for b in range(1, p + 1):
+        for a in range(p - 1):
+            n_ab = blocks_ge(a, b) - blocks_ge(a, b + 1)
+            if n_ab < 0:
+                raise InconsistencyError(f"negative multiplicity at (a={a}, b={b})")
+            if n_ab:
+                out[BLabel(a, b)] = n_ab
+    if sum(lab.b * k for lab, k in out.items()) != n:
+        raise InconsistencyError("recovered summands do not fill the module")
+    return out
+
+
+def test_b_oracle_matches_kernel_chain_on_h0_blocks():
+    for p, m in [(5, 3), (7, 3), (11, 2), (13, 3)]:
+        for deg, mod in h0_blocks(p, m).items():
+            mod = restrict_to_b(mod)
+            assert decompose_b_oracle(mod) == _kernel_chain_b_labels(mod), (p, m, deg)
+
+
+def _draw_uab_sum(data, primes):
+    p = data.draw(st.sampled_from(primes))
+    labels = data.draw(
+        st.lists(st.tuples(st.integers(0, p - 2), st.integers(1, p)), min_size=2, max_size=5)
+    )
+    return labels, functools.reduce(direct_sum, (uab_module(a, b, p) for a, b in labels))
+
+
+def _random_basis(data, mod):
+    """mod in a random basis, so that rho(t) is no longer diagonal."""
+    ctx, p = mod.field, mod.field.p
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    while True:
+        P = rng.integers(0, p, size=(mod.dim, mod.dim))
+        if rank_array(P, p) == mod.dim:
+            break
+    Pinv = inv_array(P, p)
+    gens = {
+        name: FqMatrix(ctx, ctx.matmul(ctx.matmul(P, mat.data), Pinv))
+        for name, mat in mod.gens.items()
+    }
+    return ModuleRep(ctx, mod.dim, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_b_oracle_matches_kernel_chain_on_conjugated_sums(data):
+    labels, mod = _draw_uab_sum(data, [3, 5, 7, 11, 13])
+    hidden = _random_basis(data, mod).validate()
+    got = decompose_b_oracle(hidden)
+    assert got == _kernel_chain_b_labels(hidden)
+    assert got == dict(Counter(BLabel(a, b) for a, b in labels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_b_oracle_errors_match_kernel_chain_on_retorused_sums(data):
+    # rho(t) replaced by random weights on the Jordan basis, so that log
+    # rho(u) mostly misses the pattern V_c -> V_{c-2}; in a random basis both
+    # oracles must fail on the same first weight, or agree on the labels
+    _, mod = _draw_uab_sum(data, [5, 7, 11])
+    ctx, p = mod.field, mod.field.p
+    weights = data.draw(st.lists(st.integers(0, p - 2), min_size=mod.dim, max_size=mod.dim))
+    torus = FqMatrix(ctx, np.diag([pow(ctx.zeta, e, p) for e in weights]))
+    hidden = _random_basis(data, ModuleRep(ctx, mod.dim, {"u": mod.gens["u"], "t": torus}))
+    want = _outcome(lambda: _kernel_chain_b_labels(hidden))
+    assert _outcome(lambda: decompose_b_oracle(hidden)) == want
+
+
+def test_b_oracle_on_the_zero_module():
+    ctx = field(5)
+    zero = FqMatrix(ctx, np.zeros((0, 0), dtype=np.int64))
+    assert decompose_b_oracle(ModuleRep(ctx, 0, {"u": zero, "t": zero}).validate()) == {}
+
+
+def test_b_oracle_rejects_torus_without_weight_basis():
+    ctx3, ctx5 = field(3), field(5)
+    with pytest.raises(InconsistencyError, match="eigenspaces"):
+        # singular: rho(t)^4 = diag(0, 1) != I
+        decompose_b_oracle(ModuleRep(ctx5, 2, {
+            "u": FqMatrix.identity(ctx5, 2), "t": FqMatrix(ctx5, np.diag([0, 1])),
+        }))
+    with pytest.raises(InconsistencyError, match="eigenspaces"):
+        # order 4, which does not divide p - 1 = 2: the eigenvalues +-i lie
+        # outside GF(3)
+        decompose_b_oracle(ModuleRep(ctx3, 2, {
+            "u": FqMatrix.identity(ctx3, 2), "t": FqMatrix(ctx3, np.array([[0, 1], [2, 0]])),
+        }))
+
+
+def test_b_oracle_weight_error_names_the_weight():
+    # log rho(u) maps e0, of weight 3, to e1, of weight 2 instead of 1; the
+    # basis is then changed so that rho(t) is not diagonal
+    ctx = field(7)
+    u = np.array([[1, 1], [0, 1]])
+    t = np.diag([pow(ctx.zeta, 3, 7), pow(ctx.zeta, 2, 7)])
+    P = np.array([[1, 2], [3, 1]])
+    Pinv = inv_array(P, 7)
+    gens = {name: FqMatrix(ctx, ctx.matmul(ctx.matmul(P, g), Pinv)) for name, g in (("u", u), ("t", t))}
+    with pytest.raises(InconsistencyError, match=r"^log rho\(u\) does not map weight 3 to weight 1$"):
+        decompose_b_oracle(ModuleRep(ctx, 2, gens))
 
 
 def test_direct_sum_requires_matching_structure():
