@@ -407,17 +407,20 @@ def decompose_b_oracle(mod):
             break
         ranks[:, k] = np.bincount((weight[piv] + 2 * k) % (p - 1), minlength=p - 1)
         R = ctx.matmul(R, Lw)
-    # ge[a, b-1]: the Jordan blocks of size >= b whose socle has weight a,
-    # for b = 1..p+1; mult[b-1, a] = n_{a,b}, so argwhere runs over b, then a
-    a, b = np.arange(p - 1)[:, None], np.arange(1, p + 2)
-    c = (a + 2 * (b - 1)) % (p - 1)
-    ge = ranks[c, b - 1] - ranks[c, b]
-    mult = (ge[:, :-1] - ge[:, 1:]).T
-    neg = np.argwhere(mult < 0)
-    if neg.size:
-        b, a = neg[0].tolist()
-        raise InconsistencyError(f"negative multiplicity at (a={a}, b={b + 1})")
-    out = {BLabel(a, b + 1): int(mult[b, a]) for b, a in np.argwhere(mult).tolist()}
+    ranks = ranks.tolist()
+
+    def blocks_ge(a, b):  # Jordan blocks of size >= b whose socle has weight a
+        r = ranks[(a + 2 * (b - 1)) % (p - 1)]
+        return r[b - 1] - r[b]
+
+    out = {}
+    for b in range(1, p + 1):
+        for a in range(p - 1):
+            n_ab = blocks_ge(a, b) - blocks_ge(a, b + 1)
+            if n_ab < 0:
+                raise InconsistencyError(f"negative multiplicity at (a={a}, b={b})")
+            if n_ab:
+                out[BLabel(a, b)] = n_ab
     if sum(lab.b * k for lab, k in out.items()) != n:
         raise InconsistencyError("recovered summands do not fill the module")
     return out
@@ -538,22 +541,14 @@ def _brauer_counts(mod):
     p, n = ctx.p, mod.dim
     arr = mod.arrays()
 
-    def factor_counts(chi, factors):  # multiplicities in chi, in order
-        counts = []
+    def factor_counts(M, factors):  # multiplicities in charpoly(M), in order
+        chi, counts = charpoly_array(M, p).tolist(), []
         for g in factors:
             k, chi = poly_multiplicity(chi, g, p)
             counts.append(k)
         return counts
 
-    # chi(zeta^a) for every a at once, from the table of powers zeta^(a j);
-    # only the x - zeta^a with chi(zeta^a) = 0 are divided out
-    chi = charpoly_array(arr["t"], p)
-    zpow = [pow(ctx.zeta, e, p) for e in range(p - 1)]
-    table = np.array(zpow)[np.outer(range(p - 1), range(n + 1)) % (p - 1)]
-    roots = (ctx.matmul(table, chi[:, None])[:, 0] == 0).nonzero()[0].tolist()
-    split = [0] * (p - 1)
-    for a, k in zip(roots, factor_counts(chi.tolist(), [(-zpow[a] % p, 1) for a in roots])):
-        split[a] = k
+    split = factor_counts(arr["t"], [(-pow(ctx.zeta, a, p) % p, 1) for a in range(p - 1)])
     if sum(split) != n:
         raise InconsistencyError(f"rho(t) eigenspaces span {sum(split)} of {n} dimensions")
     a, tau = _nonsplit_traces(p)
@@ -561,7 +556,7 @@ def _brauer_counts(mod):
     if not np.array_equal(matpow_array(C, p + 1, p), np.eye(n, dtype=np.int64)):
         raise InconsistencyError(f"rho(c)^(p+1) != I for c = u^{a} w")
     pairs = [(1, -tau[k] % p, 1) for k in range(1, (p + 1) // 2)]
-    nonsplit = factor_counts(charpoly_array(C, p).tolist(), [(p - 1, 1), (1, 1)] + pairs)
+    nonsplit = factor_counts(C, [(p - 1, 1), (1, 1)] + pairs)
     if nonsplit[0] + nonsplit[1] + 2 * sum(nonsplit[2:]) != n:
         raise InconsistencyError(f"rho(c) eigenspaces do not span {n} dimensions")
     return tuple(split + nonsplit)
