@@ -89,11 +89,13 @@ def _doc_decompose(config):
     if config.r != 1:
         raise ValueError("decompose requires r = 1 (tables exist only for q = p)")
     if config.group == "B":
+        # h0_blocks first: its guard refuses a large point before the slower closed form
+        blocks = modrep.h0_blocks(config.p, config.m) if config.oracle else None
         bdec = closedform.b_decomposition(config.m, config.p)
         doc = {"summands": _summand_list(bdec.mult)}
         status = 0
         if config.oracle:
-            oracle = modrep.b_labels_by_block(modrep.h0_blocks(config.p, config.m))
+            oracle = modrep.b_labels_by_block(blocks)
             doc["oracle"] = _summand_list(oracle)
             diff = []
             for lab in sorted(set(bdec.mult) | set(oracle), key=lambda l: (l.b, l.a)):

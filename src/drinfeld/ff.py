@@ -616,8 +616,10 @@ class FqMatrix:
     __hash__ = None
 
     def __init__(self, ctx, data):
+        # an int64 array is kept, not copied, and made read-only: the caller
+        # hands it over and cannot write to it afterwards
         self.ctx = ctx
-        arr = np.array(data, dtype=np.int64)
+        arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix data must be 2-d")
         if arr.size and (arr.min() < 0 or arr.max() >= ctx.q):

@@ -4,6 +4,8 @@ Every table closedform produces is re-derived here from explicit generator
 matrices, with no shared formulas.  H0 is taken apart into its G-stable
 grading blocks (h0_blocks): verify_full and the decompose oracle validate and
 decompose each block and sum the results, and an error on a block names it.
+h0_blocks holds the oracle's one size guard, on an estimate of its work from
+dim H0 and p alone, so a point far too large is refused before any basis.
 A restriction to the Borel subgroup is split by the ranks of the powers of
 L = log rho(u) on the torus weight spaces V_c = ker(rho(t) - zeta^c); L and
 not rho(u) - I, because only the logarithm moves every weight by exactly -2.
@@ -44,7 +46,6 @@ from .curve import (
     GroupElement,
     action_matrix,
     block_action_matrices,
-    check_action_dim,
     dim_h0,
     linear_form_powers,
 )
@@ -90,6 +91,7 @@ __all__ = [
 
 ENUM_GROUP_GUARD = 13
 COMP_FACTOR_GUARD = 400
+ORACLE_WORK_GUARD = 6 * 10**10  # h0_blocks' limit on _oracle_work
 
 
 class GuardError(RuntimeError):
@@ -221,6 +223,12 @@ def h0_module(p, m):
     return ModuleRep(ctx, len(basis), gens).validate()
 
 
+def _oracle_work(p, n):
+    """Estimated multiply-adds of the blockwise oracle on an H0 of dimension n:
+    the dense p n_d^3 power-stack cost, summed over p + 1 equal blocks."""
+    return p * n**3 // (p + 1) ** 2
+
+
 @contextmanager
 def _naming_block(deg, mod):
     """Re-raise an oracle error on one grading block with the block named."""
@@ -230,14 +238,21 @@ def _naming_block(deg, mod):
         raise type(exc)(f"grading block {deg} (dim {mod.dim}): {exc}") from exc
 
 
-def h0_blocks(p, m):
+def h0_blocks(p, m, force=False):
     """H0 split into its G-stable grading blocks, degree (i + j) mod (p + 1):
     one validated ModuleRep per nonempty block, {degree: ModuleRep} in
-    ascending degree, whose direct sum is h0_module(p, m).  A (p, m) whose
-    full action matrix action_matrix refuses is refused before any basis is
-    built."""
+    ascending degree, whose direct sum is h0_module(p, m).  The oracle's one
+    size guard: unless force=True, a (p, m) whose _oracle_work(p, dim H0)
+    exceeds ORACLE_WORK_GUARD is refused before any basis is built."""
     ctx = make_field(p)
-    check_action_dim(dim_h0(p, m))
+    n = dim_h0(p, m)
+    work = _oracle_work(p, n)
+    if work > ORACLE_WORK_GUARD and not force:
+        raise GuardError(
+            f"the oracle at p={p}, m={m} (dim H0 = {n}) is estimated at {work:.2g} "
+            f"multiply-adds, above the limit {ORACLE_WORK_GUARD:.2g}; "
+            "pass --force (force=True) to override"
+        )
     basis = BasisSet(p, m)
     mats = {
         name: block_action_matrices(g, basis)
@@ -638,12 +653,8 @@ def induce_to_g(mod, p=None, transversal=None):
             raise ValueError("transversal representatives share a coset")
         keymap[key] = j
     arr = mod.arrays()
-    tpow = [np.eye(mod.dim, dtype=np.int64)]
-    for _ in range(p - 2):
-        tpow.append(ctx.matmul(tpow[-1], arr["t"]))
-    upow = [np.eye(mod.dim, dtype=np.int64)]
-    for _ in range(p - 1):
-        upow.append(ctx.matmul(upow[-1], arr["u"]))
+    tpow = _power_stack(ctx, arr["t"], p - 1)  # rho(t)^0 .. rho(t)^(p-2)
+    upow = _power_stack(ctx, arr["u"], p)  # rho(u)^0 .. rho(u)^(p-1)
     dm = mod.dim
     dim = (p + 1) * dm
     gens = {}
@@ -772,13 +783,6 @@ class VerifyReport:
     def all_passed(self):
         return all(c.passed for c in self.checks)
 
-    def summary(self):
-        lines = [f"verify p={self.p} m={self.m}"]
-        for c in self.checks:
-            lines.append(f"  [{'pass' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-        lines.append("result: " + ("all checks passed" if self.all_passed else "FAILED"))
-        return "\n".join(lines)
-
 
 def _first_divergence(got, want):
     keys = sorted(set(got) | set(want), key=str)
@@ -791,19 +795,11 @@ def _first_divergence(got, want):
 def verify_full(p, m, force=False):
     """Run the four oracle-versus-closed-form checks for one (p, m), on the
     grading blocks of h0_blocks: B-labels and Brauer counts are summed over
-    the blocks, and an oracle error names the block it arose in.
-
-    Points with dim H0 above COMP_FACTOR_GUARD are refused before any matrix
-    work unless force=True."""
-    make_field(p)  # a bad p fails here first, as it would in h0_module
+    the blocks, and an oracle error names the block it arose in.  force=True
+    gets past the size guard of h0_blocks."""
+    blocks = h0_blocks(p, m, force=force)
     n = dim_h0(p, m)
-    if n > COMP_FACTOR_GUARD and not force:
-        raise GuardError(
-            f"verify is sized for dim H0 <= {COMP_FACTOR_GUARD}, but dim H0 = {n} at "
-            f"p={p}, m={m}; pass --force (force=True) to override"
-        )
     checks = []
-    blocks = h0_blocks(p, m)
 
     oracle_b = b_labels_by_block(blocks)
     closed_b = dict(closedform.b_decomposition(m, p).mult)

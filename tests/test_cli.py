@@ -279,11 +279,11 @@ def test_exit_2_on_invalid_inputs(capsys):
         ["sweep", "--m-values", "2,y"],
         ["action", "--p", "3", "--r", "7", "--m", "1", "--element", "1", "0", "0", "1"],
         ["action", "--p", "5", "--r", "3", "--m", "2", "--element", "1", "0", "0", "1"],
-        ["verify", "--p", "7", "--m", "11"],
+        ["verify", "--p", "251", "--m", "4"],
         ["action", "--p", "3", "--m", "2", "--element", "1", "0", "0", "1",
          "--out", "/nonexistent/x.json"],
         ["basis", "--p", "9", "--r", "2", "--m", "2"],
-        ["decompose", "--p", "31", "--m", "7", "--oracle"],
+        ["decompose", "--p", "251", "--m", "4", "--oracle"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

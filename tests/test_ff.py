@@ -223,6 +223,25 @@ def test_rref_idempotent_random():
 # -- FqMatrix ----------------------------------------------------------------
 
 
+def test_fqmatrix_takes_ownership_of_an_int64_array():
+    ctx = make_field(5)
+    data = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    M = FqMatrix(ctx, data)
+    assert np.shares_memory(M.data, data)  # kept, not copied
+    with pytest.raises(ValueError, match="read-only"):
+        data[0, 0] = 0
+    assert M.tolist() == [[1, 2], [3, 4]]
+    # other inputs are converted into a fresh array, so the caller's stays writable
+    small = np.array([[1, 2], [3, 4]], dtype=np.int32)
+    rows = [[1, 2], [3, 4]]
+    for src in (small, rows):
+        N = FqMatrix(ctx, src)
+        src[0][0] = 0
+        assert N == M
+    with pytest.raises(ValueError, match="packed values"):
+        FqMatrix(ctx, np.array([[5]], dtype=np.int64))
+
+
 def test_rank_of_power_jordan_block():
     ctx = make_field(3)
     J = FqMatrix(ctx, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld import modrep
+from drinfeld import cli, modrep
 from drinfeld.closedform import BLabel, InconsistencyError
-from drinfeld.curve import GroupElement, action_matrix, enumerate_basis
+from drinfeld.curve import BasisSet, GroupElement, action_matrix, enumerate_basis, graded_basis
 from drinfeld.ff import (
     FqMatrix,
     inv_array,
@@ -623,13 +623,20 @@ def test_exact_solver_matches_solve_exact(data):
     assert _outcome(lambda: modrep._exact_solver(A)(rhs)) == want
 
 
-def test_verify_guard_raises_before_h0_blocks(monkeypatch):
-    def fail(p, m):
-        raise AssertionError("h0_blocks must not run past the guard")
+# (251, 4): dim H0 = 219618, estimated work about 4.2e13, far above the guard
+GUARD_MESSAGE = (
+    r"^the oracle at p=251, m=4 \(dim H0 = 219618\) is estimated at 4\.2e\+13 "
+    r"multiply-adds, above the limit 6e\+10; pass --force \(force=True\) to override$"
+)
 
-    monkeypatch.setattr(modrep, "h0_blocks", fail)
-    with pytest.raises(GuardError, match="dim H0 = 420.*--force.*force=True"):
-        modrep.verify_full(7, 11)
+
+def test_verify_guard_raises_before_h0_blocks(monkeypatch):
+    def fail(sigma, basis):
+        raise AssertionError("h0_blocks must not build matrices past the guard")
+
+    monkeypatch.setattr(modrep, "block_action_matrices", fail)
+    with pytest.raises(GuardError, match=GUARD_MESSAGE):
+        modrep.verify_full(251, 4)
 
 
 def test_verify_guard_raises_before_matrix_work(monkeypatch):
@@ -637,8 +644,35 @@ def test_verify_guard_raises_before_matrix_work(monkeypatch):
         raise AssertionError("h0_module must not run past the guard")
 
     monkeypatch.setattr(modrep, "h0_module", fail)
-    with pytest.raises(GuardError, match="dim H0 = 420.*--force.*force=True"):
-        modrep.verify_full(7, 11)
+    with pytest.raises(GuardError, match=GUARD_MESSAGE):
+        modrep.verify_full(251, 4)
+
+
+def test_force_gets_past_the_oracle_guard(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(q, m):
+        raise Reached
+
+    monkeypatch.setattr(modrep, "BasisSet", reached)
+    with pytest.raises(Reached):
+        h0_blocks(251, 4, force=True)
+    with pytest.raises(Reached):
+        modrep.verify_full(251, 4, force=True)
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [(7, 6), (11, 4), (13, 3), (23, 4), (31, 3), (31, 6), (31, 7), (41, 4), (61, 2),
+     (61, 3), (101, 2), (127, 2)],
+)
+def test_oracle_work_estimate_tracks_the_block_sizes(p, m):
+    # the guard's dim-only estimate against the dense p n_d^3 cost of the
+    # actual grading blocks; equal blocks make it a lower bound
+    sizes = graded_basis(BasisSet(p, m)).sizes()
+    ratio = p * sum(n**3 for n in sizes) / modrep._oracle_work(p, sum(sizes))
+    assert 1.0 <= ratio <= 1.15, ratio
 
 
 # -- grading blocks ------------------------------------------------------------------
@@ -663,11 +697,11 @@ def test_block_brauer_counts_sum_to_h0_counts():
 
 def test_h0_blocks_refuses_oversize_before_building_a_basis(monkeypatch):
     def fail(q, m):
-        raise AssertionError("BasisSet must not be built past the cell cap")
+        raise AssertionError("BasisSet must not be built past the guard")
 
     monkeypatch.setattr(modrep, "BasisSet", fail)
-    with pytest.raises(ValueError, match="action matrix of dimension 6032 exceeds 33554432 cells"):
-        h0_blocks(31, 7)
+    with pytest.raises(GuardError, match=GUARD_MESSAGE):
+        h0_blocks(251, 4)
 
 
 def test_oracle_errors_name_the_grading_block(monkeypatch):
@@ -676,7 +710,7 @@ def test_oracle_errors_name_the_grading_block(monkeypatch):
     ctx, bad = field(5), blocks[5]
     eye = FqMatrix.identity(ctx, bad.dim)
     blocks[5] = ModuleRep(ctx, bad.dim, dict(bad.gens, t=eye))
-    monkeypatch.setattr(modrep, "h0_blocks", lambda p, m: blocks)
+    monkeypatch.setattr(modrep, "h0_blocks", lambda p, m, force=False: blocks)
     with pytest.raises(InconsistencyError, match=r"^grading block 5 \(dim 6\): log rho\(u\)"):
         modrep.verify_full(5, 2)
     # validate inside h0_blocks names the block too
@@ -775,6 +809,6 @@ def test_verify_full_small_grid():
             "G-decomposition dimension",
             "implied factors",
         ]
-        text = report.summary()
+        text = cli._verify_text(cli._report_dict(report))
         assert "[pass]" in text and "result: all checks passed" in text
         assert f"verify p={p} m={m}" in text
