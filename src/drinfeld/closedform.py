@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .curve import dim_h0
+from .ff import _is_prime
 
 __all__ = [
     "BLabel",
@@ -61,9 +63,8 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 5.0 and True must not hit 5 and 1
 def _check_p(p):
-    from .ff import _is_prime
-
     if not isinstance(p, int) or p < 3 or not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
 

@@ -359,10 +359,6 @@ class FieldCtx:
     def one(self):
         return FqElem(self, self.pack([1]))
 
-    def elements(self):
-        """All q field elements."""
-        return [FqElem(self, v) for v in range(self.q)]
-
     def random_element(self, rng):
         return FqElem(self, rng.randrange(self.q))
 
@@ -700,10 +696,6 @@ class FqMatrix:
         if k < 0:
             return self.inv() ** (-k)
         return FqMatrix(self.ctx, _matpow(self.ctx, self.data, k))
-
-    def scale(self, c):
-        """Multiply every entry by the scalar c."""
-        return FqMatrix(self.ctx, self.ctx.mul(self.ctx.element(c).val, self.data))
 
     def inv(self):
         return FqMatrix(self.ctx, _inv(self.ctx, self.data))

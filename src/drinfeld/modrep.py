@@ -10,9 +10,11 @@ A restriction to the Borel subgroup is split by the ranks of the powers of
 L = log rho(u) on the torus weight spaces V_c = ker(rho(t) - zeta^c); L and
 not rho(u) - I, because only the logarithm moves every weight by exactly -2.
 The split runs in one basis of weight vectors, the row spaces of the
-projectors that a DFT of the powers of rho(t) gives: there L must have the
+projectors that a DFT of the powers of rho(t) gives, and the pivot columns of
+the same projectors give the inverse change of basis: there L must have the
 block pattern V_c -> V_{c-2}, and each rank is a count of pivot columns in one
-elimination per power of L.
+elimination per power of L.  U_{a,b} is built in such a basis too,
+(log u)^k, where rho(t) is diagonal.
 Induction is realized through an explicit coset transversal.  Composition
 factors over the full group come from Brauer characters: every p-regular
 element of SL2(p) is conjugate into the split torus <t> or a non-split torus
@@ -145,20 +147,19 @@ class ModuleRep:
         # invertible, so the conjugation relations are checked without inverses
         if not np.array_equal(matpow_array(arr["u"], p, p), eye):
             raise ValueError("rho(u)^p != I")
-        if not np.array_equal(matpow_array(arr["t"], p - 1, p), eye):
+        half = matpow_array(arr["t"], (p - 1) // 2, p)  # rho(t)^((p-1)/2)
+        if not np.array_equal(ctx.matmul(half, half), eye):
             raise ValueError("rho(t)^(p-1) != I")
         lhs = ctx.matmul(arr["t"], arr["u"])
         rhs = ctx.matmul(matpow_array(arr["u"], pow(ctx.zeta, 2, p), p), arr["t"])
         if not np.array_equal(lhs, rhs):
             raise ValueError("rho(t) rho(u) != rho(u)^(zeta^2) rho(t)")
         if "w" in arr:
-            if not np.array_equal(
-                ctx.matmul(arr["w"], arr["w"]), matpow_array(arr["t"], (p - 1) // 2, p)
-            ):
+            if not np.array_equal(ctx.matmul(arr["w"], arr["w"]), half):
                 raise ValueError("rho(w)^2 != rho(t)^((p-1)/2)")
-            lhs = ctx.matmul(arr["w"], arr["t"])
-            rhs = ctx.matmul(matpow_array(arr["t"], p - 2, p), arr["w"])
-            if not np.array_equal(lhs, rhs):
+            # with rho(t)^(p-1) = I, w t = t^(p-2) w is t w t = w
+            twt = ctx.matmul(ctx.matmul(arr["t"], arr["w"]), arr["t"])
+            if not np.array_equal(twt, arr["w"]):
                 raise ValueError("rho(w) rho(t) != rho(t)^(p-2) rho(w)")
         return self
 
@@ -280,32 +281,22 @@ def simple_module(t, p):
 
 
 def uab_module(a, b, p):
-    """The uniserial B-module U_{a,b}: basis e_k = (u-1)^k inside
-    F[U]/rad^b, so rho(u) is a single Jordan block.  The torus acts through
-    the algebra substitution u -> u^(zeta^-2) (the row-convention form of
-    conjugation), scaled so the socle span(e_{b-1}) carries eigenvalue
-    zeta^a and the top carries zeta^(a + 2(b-1))."""
+    """The uniserial B-module U_{a,b}: basis e_k = l^k with l = log u inside
+    F[U]/rad^b (b <= p, so the logarithm and 1/j! for j < b exist).  The
+    torus scales l by zeta^-2, so e_k is a weight vector: rho(t) is the
+    diagonal zeta^(a + 2(b-1-k)), from the top e_0 of weight a + 2(b-1) down
+    to the socle span(e_{b-1}) of weight a.  rho(u) = exp(l) is the upper
+    triangular Toeplitz matrix with entry 1/j! at (k, k+j)."""
     ctx = make_field(p)
     if not 0 <= a <= p - 2:
         raise ValueError(f"a must lie in [0, {p - 2}], got {a}")
     if not 1 <= b <= p:
         raise ValueError(f"b must lie in [1, {p}], got {b}")
-    U = np.eye(b, dtype=np.int64)
-    for k in range(b - 1):
-        U[k, k + 1] = 1
-    c = pow(ctx.zeta, p - 3, p)  # zeta^-2 as a residue exponent
-    base = np.zeros(b, dtype=np.int64)  # coordinates of u^c - 1
-    for l in range(1, b):
-        base[l] = math.comb(c, l) % p
-    T = np.zeros((b, b), dtype=np.int64)
-    cur = np.zeros(b, dtype=np.int64)
-    cur[0] = 1
-    for k in range(b):
-        T[k] = cur
-        cur = np.convolve(cur, base)[:b] % p
-    twist = pow(ctx.zeta, (a + 2 * (b - 1)) % (p - 1), p)
-    T = T * twist % p
-    gens = {"u": FqMatrix(ctx, U), "t": FqMatrix(ctx, T)}
+    U = np.zeros((b, b), dtype=np.int64)
+    for j in range(b):
+        U += pow(math.factorial(j), -1, p) * np.eye(b, k=j, dtype=np.int64)
+    weights = [pow(ctx.zeta, (a + 2 * (b - 1 - k)) % (p - 1), p) for k in range(b)]
+    gens = {"u": FqMatrix(ctx, U), "t": FqMatrix(ctx, np.diag(weights))}
     return ModuleRep(ctx, b, gens).validate()
 
 
@@ -371,10 +362,11 @@ def decompose_b_oracle(mod):
     The work runs in one basis of weight vectors.  rho(t)^(p-1) = I is
     asserted, so V_c is the row space of the projector E_c = -sum_k
     zeta^(-ck) rho(t)^k; one product of the DFT matrix with the stacked
-    powers gives all p-1 of them.  Their bases, stacked in order of c, form
-    P, and L' = P L P^-1 must be zero off the blocks (c, c-2): that is the
-    weight check.  Each r_c(k) is then a count of pivot columns in one
-    elimination per k.
+    powers gives all p-1 of them.  Their rref bases, stacked in order of c,
+    form P; the pivot columns of the projectors, stacked the same way, form
+    P^-1, so no inverse is computed.  L' = P L P^-1 must be zero off the
+    blocks (c, c-2): that is the weight check.  Each r_c(k) is then a count
+    of pivot columns in one elimination per k.
     Returns {BLabel(a, b): n}.
     """
     if mod.group != "B":
@@ -395,12 +387,16 @@ def decompose_b_oracle(mod):
     exps = np.arange(p - 1)
     dft = -zpow[-np.outer(exps, exps) % (p - 1)] % p  # dft[c, k] = -zeta^(-ck)
     proj = ctx.matmul(dft, Tpow[: p - 1].reshape(p - 1, n * n)).reshape(p - 1, n, n)
-    bases = [_row_space(E, p)[0] for E in proj]
-    dims = [V.shape[0] for V in bases]
+    spaces = [_row_space(E, p) for E in proj]
+    dims = [len(piv) for _, piv in spaces]
     if sum(dims) != n:
         raise InconsistencyError(f"rho(t) eigenspaces span {sum(dims)} of {n} dimensions")
-    P = np.vstack(bases)
-    Lw = ctx.matmul(ctx.matmul(P, L), inv_array(P, p))
+    P = np.vstack([V for V, _ in spaces])
+    # Every matrix is its pivot columns times its nonzero rref rows, so
+    # E_c = E_c[:, piv_c] R_c; and sum_c E_c = -(p-1) I = I.  So
+    # Q = [E_c[:, piv_c]]_c, stacked in the order of P, has Q P = I: Q = P^-1.
+    Q = np.hstack([E[:, piv] for E, (_, piv) in zip(proj, spaces)])
+    Lw = ctx.matmul(ctx.matmul(P, L), Q)
     weight = np.repeat(exps, dims)  # the weight of each basis vector
     off = (Lw != 0) & (weight[None, :] != (weight[:, None] - 2) % (p - 1))
     bad = off.any(axis=1).nonzero()[0]

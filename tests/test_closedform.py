@@ -207,6 +207,13 @@ def test_even_or_composite_p_rejected():
             b_decomposition(2, p)
 
 
+def test_p_check_is_not_fooled_by_a_cached_prime():
+    b_decomposition(2, 5)
+    for p in (5.0, True, 9):
+        with pytest.raises(ValueError):
+            b_decomposition(2, p)
+
+
 # -- composition factors over the full group -----------------------------------
 
 

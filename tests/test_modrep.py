@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from collections import Counter
 
@@ -149,6 +150,45 @@ def test_uab_range_errors():
         uab_module(0, 6, 5)
 
 
+def _uab_by_substitution(a, b, p):
+    """U_{a,b} in the basis e_k = (u-1)^k of F[U]/rad^b: rho(u) one Jordan
+    block, rho(t) the substitution u -> u^(zeta^-2) scaled by the top weight."""
+    ctx = field(p)
+    U = np.eye(b, dtype=np.int64) + np.eye(b, k=1, dtype=np.int64)
+    c = pow(ctx.zeta, p - 3, p)  # zeta^-2 as a residue exponent
+    base = np.zeros(b, dtype=np.int64)  # coordinates of u^c - 1
+    for l in range(1, b):
+        base[l] = math.comb(c, l) % p
+    T = np.zeros((b, b), dtype=np.int64)
+    cur = np.zeros(b, dtype=np.int64)
+    cur[0] = 1
+    for k in range(b):
+        T[k] = cur
+        cur = np.convolve(cur, base)[:b] % p
+    T = T * pow(ctx.zeta, (a + 2 * (b - 1)) % (p - 1), p) % p
+    return ModuleRep(ctx, b, {"u": FqMatrix(ctx, U), "t": FqMatrix(ctx, T)}).validate()
+
+
+def test_uab_torus_is_diagonal_in_the_log_basis():
+    for p in (3, 5, 7):
+        zeta = field(p).zeta
+        for a in range(p - 1):
+            for b in range(1, p + 1):
+                T = uab_module(a, b, p).gens["t"].data
+                want = [pow(zeta, (a + 2 * (b - 1 - k)) % (p - 1), p) for k in range(b)]
+                assert np.array_equal(T, np.diag(want)), (a, b, p)
+
+
+def test_uab_is_isomorphic_to_the_substitution_construction():
+    # End(U_{a,b}) is local, so some element of any basis of
+    # Hom(old, new) is an isomorphism
+    for p in (3, 5, 7):
+        for a in range(p - 1):
+            for b in range(1, p + 1):
+                homs = modrep._hom_basis(_uab_by_substitution(a, b, p), uab_module(a, b, p))
+                assert any(rank_array(X, p) == b for X in homs), (a, b, p)
+
+
 def test_restrict_and_group_flag():
     mod = h0(3, 2)
     res = restrict_to_b(mod)
@@ -188,6 +228,27 @@ def test_validate_rejects_singular_generators():
         gens[name] = FqMatrix.zeros(mod.field, mod.dim, mod.dim)
         with pytest.raises(ValueError):
             ModuleRep(mod.field, mod.dim, gens).validate()
+
+
+def test_validate_rejects_w_not_inverting_t():
+    # over GF(5): w^2 = 4 = t^2, but w t = 4 while t^(p-2) w = 8 * 2 = 1
+    ctx = field(5)
+    gens = {name: FqMatrix(ctx, np.array([[v]])) for name, v in (("u", 1), ("t", 2), ("w", 2))}
+    with pytest.raises(ValueError, match=r"^rho\(w\) rho\(t\) != rho\(t\)\^\(p-2\) rho\(w\)$"):
+        ModuleRep(ctx, 1, gens).validate()
+
+
+def test_validate_takes_three_matrix_powers(monkeypatch):
+    calls = []
+
+    def counted(A, k, p):
+        calls.append(k)
+        return matpow_array(A, k, p)
+
+    mod = h0(5, 2)
+    monkeypatch.setattr(modrep, "matpow_array", counted)
+    ModuleRep(mod.field, mod.dim, dict(mod.gens)).validate()
+    assert len(calls) == 3
 
 
 # -- B-side oracle ----------------------------------------------------------------
@@ -375,6 +436,16 @@ def test_b_oracle_errors_match_kernel_chain_on_retorused_sums(data):
     hidden = _random_basis(data, ModuleRep(ctx, mod.dim, {"u": mod.gens["u"], "t": torus}))
     want = _outcome(lambda: _kernel_chain_b_labels(hidden))
     assert _outcome(lambda: decompose_b_oracle(hidden)) == want
+
+
+def test_b_oracle_takes_the_weight_basis_inverse_from_the_projectors(monkeypatch):
+    def fail(*args):
+        raise AssertionError("decompose_b_oracle must not invert its weight basis")
+
+    blocks = h0_blocks(7, 4)
+    want = modrep.b_labels_by_block(blocks)
+    monkeypatch.setattr(modrep, "inv_array", fail)
+    assert modrep.b_labels_by_block(blocks) == want == dict(bdec(4, 7).mult)
 
 
 def test_b_oracle_on_the_zero_module():
