@@ -6,15 +6,16 @@ grading blocks (h0_blocks): verify_full and the decompose oracle validate and
 decompose each block and sum the results, and an error on a block names it.
 h0_blocks holds the oracle's one size guard, on an estimate of its work from
 dim H0 and p alone, so a point far too large is refused before any basis.
-A restriction to the Borel subgroup is split by the ranks of the powers of
+A restriction to the Borel subgroup is split into graded Jordan chains of
 L = log rho(u) on the torus weight spaces V_c = ker(rho(t) - zeta^c); L and
 not rho(u) - I, because only the logarithm moves every weight by exactly -2.
 The split runs in one basis of weight vectors, the row spaces of the
 projectors that a DFT of the powers of rho(t) gives, and the pivot columns of
 the same projectors give the inverse change of basis: there L must have the
-block pattern V_c -> V_{c-2}, and each rank is a count of pivot columns in one
-elimination per power of L.  U_{a,b} is built in such a basis too,
-(log u)^k, where rho(t) is diagonal.
+block pattern V_c -> V_{c-2}.  The chains are taken from the top down,
+longest first, with two eliminations per chain length, so the pivots number
+n plus the chain count instead of sum_k rank(L^k).  U_{a,b} is built in such
+a basis too, (log u)^k, where rho(t) is diagonal.
 Induction is realized through an explicit coset transversal.  Composition
 factors over the full group come from Brauer characters: every p-regular
 element of SL2(p) is conjugate into the split torus <t> or a non-split torus
@@ -353,11 +354,8 @@ def decompose_b_oracle(mod):
     and it is weight-homogeneous: rho(t) L = zeta^2 L rho(t), so L maps the
     weight space V_c = ker(rho(t) - zeta^c) into V_{c-2}.  N itself is not
     (N = L + L^2/2 + ... mixes weights c-2, c-4, ...), which is why the
-    counts below use L.  Each U_{a,b} is then one L-chain of weight vectors
-    from its top, of weight a + 2(b-1), down to its socle, of weight a, so the
-    number of blocks of size >= b with socle weight a is
-    r_c(b-1) - r_c(b), where r_c(k) = dim V_c L^k and c = a + 2(b-1)
-    mod p-1, and n_{a,b} is the drop in that count from b to b+1.
+    chains below use L.  Each U_{a,b} is then one L-chain of weight vectors
+    from its top, of weight a + 2(b-1), down to its socle, of weight a.
 
     The work runs in one basis of weight vectors.  rho(t)^(p-1) = I is
     asserted, so V_c is the row space of the projector E_c = -sum_k
@@ -365,9 +363,22 @@ def decompose_b_oracle(mod):
     powers gives all p-1 of them.  Their rref bases, stacked in order of c,
     form P; the pivot columns of the projectors, stacked the same way, form
     P^-1, so no inverse is computed.  L' = P L P^-1 must be zero off the
-    blocks (c, c-2): that is the weight check.  Each r_c(k) is then a count
-    of pivot columns in one elimination per k.
-    Returns {BLabel(a, b): n}.
+    blocks (c, c-2): that is the weight check.
+
+    The chains are then taken from the top down, for s = p, ..., 1.  W, the
+    span of the chains found so far, is a graded submodule, and L^s = 0 on M/W
+    when step s begins (L^p = 0 follows from N^p = 0).  The basis vectors e_i
+    whose images under L^(s-1) form a basis of (M/W) L^(s-1) are the tops of
+    the chains of length s: one elimination picks them.  Their chains e_i L^k,
+    k < s, are free over F[x]/(x^s).  That ring is self-injective, so a free
+    graded submodule of M/W is a graded direct summand, and the other summands
+    are those of the quotient by it.  One more elimination checks that the
+    chains have s * #tops independent vectors mod W and folds them into W.
+    Each top e_i, of weight c, is the top of a U_{a,s} with a = c - 2(s-1) mod
+    p-1.  So the work is two eliminations per chain length, with n pivots plus
+    one per top in all, where a count of the ranks dim V_c L^k would need
+    sum_k rank(L^k) pivots.
+    Returns {BLabel(a, b): n}, in order of b, then a.
     """
     if mod.group != "B":
         raise ValueError("decompose_b_oracle expects a B-module (no w generator)")
@@ -380,6 +391,7 @@ def decompose_b_oracle(mod):
         raise ValueError("rho(u) is not unipotent of order dividing p")
     log_coef = [[pow((-1) ** (k + 1) * k, -1, p) for k in range(1, p)]]
     L = ctx.matmul(log_coef, Npow[1:p].reshape(p - 1, n * n)).reshape(n, n)
+    del Npow
     Tpow = _power_stack(ctx, arr["t"], p)  # rho(t)^0 .. rho(t)^(p-1)
     if not np.array_equal(Tpow[p - 1], eye):
         raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
@@ -403,35 +415,36 @@ def decompose_b_oracle(mod):
     if bad.size:
         c = int(weight[bad[0]])
         raise InconsistencyError(f"log rho(u) does not map weight {c} to weight {c - 2}")
-    # The chain R_k = rref(R_(k-1) L'), from R_0 = I.  Every row of R_k lies
-    # in one column block of P: the rows of R_(k-1) do, L' maps block c into
-    # block c-2, and an elimination step only combines rows that share a
-    # nonzero column.  So the rows of R_k in block c-2k span V_c L^k, and
-    # r_c(k) is the number of pivot columns of R_k in that block.  L^p = 0
-    # ends the chain by k = p.
-    ranks = np.zeros((p - 1, p + 2), dtype=np.int64)  # ranks[c, k] = r_c(k)
-    ranks[:, 0] = dims
-    R = Lw
-    for k in range(1, p + 1):
-        R, piv = _row_space(R, p)
-        if not piv:
+    del Tpow, proj, spaces, L  # like Npow, released before the stack of L'
+    # W holds the rref rows of the chains found so far, and M/W has the basis
+    # e_i off its pivots.  Reducing a weight vector mod W keeps it one, since
+    # each row of W shares the weight of its pivot column.
+    Lpow = _power_stack(ctx, Lw, p)  # L'^0 .. L'^(p-1); L'^p = 0 as N^p = 0
+    W, wpiv = np.zeros((0, n), dtype=np.int64), []
+
+    def mod_w(X):
+        return (X - ctx.matmul(X[:, wpiv], W)) % p
+
+    found = Counter()  # (a, b) -> n_{a,b}
+    for s in range(p, 0, -1):
+        if len(wpiv) == n:
             break
-        ranks[:, k] = np.bincount((weight[piv] + 2 * k) % (p - 1), minlength=p - 1)
-        R = ctx.matmul(R, Lw)
-    ranks = ranks.tolist()
-
-    def blocks_ge(a, b):  # Jordan blocks of size >= b whose socle has weight a
-        r = ranks[(a + 2 * (b - 1)) % (p - 1)]
-        return r[b - 1] - r[b]
-
-    out = {}
-    for b in range(1, p + 1):
-        for a in range(p - 1):
-            n_ab = blocks_ge(a, b) - blocks_ge(a, b + 1)
-            if n_ab < 0:
-                raise InconsistencyError(f"negative multiplicity at (a={a}, b={b})")
-            if n_ab:
-                out[BLabel(a, b)] = n_ab
+        free = np.delete(np.arange(n), wpiv)
+        X = mod_w(Lpow[s - 1][free])
+        if not X.any():
+            continue
+        # the tops: the rows of X that form a basis of (M/W) L^(s-1)
+        tops = free[_row_space(X[:, free].T, p)[1]]
+        C, cpiv = _row_space(mod_w(Lpow[:s, tops].reshape(s * tops.size, n)), p)
+        if len(cpiv) != s * tops.size:
+            raise InconsistencyError(
+                f"the {tops.size} L-chains of length {s} span {len(cpiv)} "
+                f"of {s * tops.size} dimensions"
+            )
+        W = np.vstack([(W - ctx.matmul(W[:, cpiv], C)) % p, C])  # rref again
+        wpiv += cpiv
+        found.update((a, s) for a in ((weight[tops] - 2 * (s - 1)) % (p - 1)).tolist())
+    out = {BLabel(a, b): found[a, b] for a, b in sorted(found, key=lambda ab: ab[::-1])}
     if sum(lab.b * k for lab, k in out.items()) != n:
         raise InconsistencyError("recovered summands do not fill the module")
     return out

@@ -438,6 +438,47 @@ def test_b_oracle_errors_match_kernel_chain_on_retorused_sums(data):
     assert _outcome(lambda: decompose_b_oracle(hidden)) == want
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_b_oracle_matches_kernel_chain_on_many_summands(data):
+    # 6-12 summands with at least one long chain (b > (p-1)/2), a shorter
+    # one, socle weights of both parities and a repeated label, so that
+    # chains of one length are reduced mod chains of several longer ones
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    half = (p - 1) // 2
+    label = st.tuples(st.integers(0, p - 2), st.integers(1, p))
+    labels = [
+        (data.draw(st.sampled_from(range(0, p - 1, 2))), data.draw(st.integers(half + 1, p))),
+        (data.draw(st.sampled_from(range(1, p - 1, 2))), data.draw(st.integers(1, half))),
+    ]
+    labels += data.draw(st.lists(label, min_size=3, max_size=9))
+    labels.append(data.draw(st.sampled_from(labels)))
+    labels = data.draw(st.permutations(labels))
+    mod = functools.reduce(direct_sum, (uab_module(a, b, p) for a, b in labels))
+    hidden = _random_basis(data, mod).validate()
+    got = decompose_b_oracle(hidden)
+    assert got == _kernel_chain_b_labels(hidden)
+    assert got == dict(Counter(BLabel(a, b) for a, b in labels))
+
+
+def test_b_oracle_makes_two_eliminations_per_chain_length(monkeypatch):
+    # one rref per weight projector, then two per distinct chain length: none
+    # per power of L
+    calls = []
+
+    def counted(A, p):
+        calls.append(A.shape)
+        return rref_array(A, p)
+
+    monkeypatch.setattr(modrep, "rref_array", counted)
+    p = 13
+    for deg, mod in h0_blocks(p, 3).items():
+        calls.clear()
+        labels = decompose_b_oracle(restrict_to_b(mod))
+        lengths = {lab.b for lab in labels}
+        assert len(calls) <= (p - 1) + 2 * len(lengths), (deg, len(calls), sorted(lengths))
+
+
 def test_b_oracle_takes_the_weight_basis_inverse_from_the_projectors(monkeypatch):
     def fail(*args):
         raise AssertionError("decompose_b_oracle must not invert its weight basis")
