@@ -15,13 +15,15 @@ The action preserves the grading (i + j) mod (q + 1), and the canonical order
 keeps each of its q + 1 blocks contiguous.  block_action_matrices builds one
 matrix per nonempty block, degree by degree from linear_form_powers (the
 images x^i y^j -> (alpha x + beta y)^i (gamma x + delta y)^j computed with
-FieldCtx array ops) and a reduction memo local to the block; action_matrix is
-their block-diagonal assembly.  The same powers give modrep's simple modules
-V_t = Sym^(t-1).
+FieldCtx array ops) and the stacked reductions of each block's monomials,
+which do not depend on the group element and are computed once per BasisSet
+(BasisSet.block_reductions); action_matrix is their block-diagonal assembly.
+The same powers give modrep's simple modules V_t = Sym^(t-1).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -117,6 +119,36 @@ class BasisSet:
         self.position = {ix: k for k, ix in enumerate(indices)}
         if len(self.indices) != dim_h0(q, m):
             raise RuntimeError("basis enumeration disagrees with the dimension formula")
+
+    @cached_property
+    def block_reductions(self):
+        """The part of block_action_matrices that does not depend on the group
+        element: for each nonempty grading block, (degree, size, parts), with
+        one part (d, rows, js, cols, red) per total degree d in the block.
+        rows are the block rows of total degree d and js the exponents j of
+        their monomials; red holds the block coordinates of the d + 1
+        monomials x^(d-k) y^k on the columns cols where one of them is
+        nonzero.  Every monomial of total degree d reduces inside block
+        d mod (q + 1), so each block is reduced with a memo of its own, which
+        is dropped once its arrays are stacked.  Reduction coordinates are
+        prime-subfield constants, whose packed form in GF(q) is the residue
+        itself."""
+        ij = np.array(self.indices, dtype=np.int64)
+        total = ij.sum(axis=1)
+        small = np.min_scalar_type(self.p - 1)  # residues, kept in the least dtype
+        out, lo = [], 0
+        for deg, size in enumerate(graded_basis(self).sizes()):
+            if not size:
+                continue
+            memo, parts = {}, []
+            for d in range(deg, self.max_total + 1, self.q + 1):
+                rows = np.flatnonzero(total[lo : lo + size] == d)
+                red = np.stack([_reduce(d - k, k, self, memo, lo, size) for k in range(d + 1)])
+                cols = np.flatnonzero(red.any(axis=0))
+                parts.append((d, rows, ij[lo + rows, 1], cols, red[:, cols].astype(small)))
+            out.append((deg, size, tuple(parts)))
+            lo += size
+        return tuple(out)
 
     def contains(self, i, j):
         return PolyDiffIndex(i, j) in self.position
@@ -262,11 +294,10 @@ def block_action_matrices(sigma, basis):
     ascending degree; row k of a block holds the block coordinates of the
     image of its k-th basis vector, as in action_matrix.
 
-    Every monomial of total degree d reduces inside block d mod (q + 1), so
-    a block is built from its own reduction memo, whose vectors have the
-    block's length.  The rows of total degree d are the linear-form powers of
-    degree d times the stacked reductions of the d + 1 monomials of that
-    degree: one product per total degree.
+    The rows of total degree d are the linear-form powers of degree d times
+    the stacked reductions of the d + 1 monomials of that degree: one product
+    per total degree.  The reductions do not depend on sigma, so they come
+    from basis.block_reductions, computed once per basis.
     """
     ctx = sigma.ctx
     if (ctx.p, ctx.r) != (basis.p, basis.r):
@@ -274,24 +305,12 @@ def block_action_matrices(sigma, basis):
             f"group element over GF({ctx.q}) does not match basis over GF({basis.q})"
         )
     powers = linear_form_powers(sigma, basis.max_total)
-    ij = np.array(basis.indices, dtype=np.int64)
-    total = ij.sum(axis=1)
     out = {}
-    lo = 0
-    for deg, size in enumerate(graded_basis(basis).sizes()):
-        if not size:
-            continue
+    for deg, size, parts in basis.block_reductions:
         block = np.zeros((size, size), dtype=np.int64)
-        memo = {}
-        for d in range(deg, basis.max_total + 1, basis.q + 1):
-            rows = np.flatnonzero(total[lo : lo + size] == d)
-            # reduction coordinates are prime-subfield constants, whose packed
-            # form is the residue itself
-            red = np.stack([_reduce(d - k, k, basis, memo, lo, size) for k in range(d + 1)])
-            cols = np.flatnonzero(red.any(axis=0))
-            block[np.ix_(rows, cols)] = ctx.matmul(powers[d][ij[lo + rows, 1]], red[:, cols])
+        for d, rows, js, cols, red in parts:
+            block[np.ix_(rows, cols)] = ctx.matmul(powers[d][js], red)
         out[deg] = FqMatrix(ctx, block)
-        lo += size
     return out
 
 

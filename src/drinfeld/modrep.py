@@ -9,13 +9,16 @@ dim H0 and p alone, so a point far too large is refused before any basis.
 A restriction to the Borel subgroup is split into graded Jordan chains of
 L = log rho(u) on the torus weight spaces V_c = ker(rho(t) - zeta^c); L and
 not rho(u) - I, because only the logarithm moves every weight by exactly -2.
-The split runs in one basis of weight vectors, the row spaces of the
-projectors that a DFT of the powers of rho(t) gives, and the pivot columns of
-the same projectors give the inverse change of basis: there L must have the
-block pattern V_c -> V_{c-2}.  The chains are taken from the top down,
-longest first, with two eliminations per chain length, so the pivots number
-n plus the chain count instead of sum_k rank(L^k).  U_{a,b} is built in such
-a basis too, (log u)^k, where rho(t) is diagonal.
+The split runs in one basis of weight vectors.  rho(t) scales each monomial,
+so on every H0 block, as on U_{a,b}, V_t and their sums, it is diagonal and
+that basis is a permutation of the given one; any other rho(t) gets its
+weight spaces from DFT projectors of its powers.  There L is read off the
+part N_1 of rho(u) - I that lowers weights by 2, as N_1 - N_1^h / h! with
+h = (p+1)/2, and one stack of its powers checks L^p = 0 and exp(L) = rho(u),
+which hold exactly when log rho(u) has weight -2.  The chains are taken from
+the top down, longest first, with two eliminations per chain length, so the
+pivots number n plus the chain count instead of sum_k rank(L^k).  U_{a,b} is
+built in a weight basis too, (log u)^k, where rho(t) is diagonal.
 Induction is realized through an explicit coset transversal.  Composition
 factors over the full group come from Brauer characters: every p-regular
 element of SL2(p) is conjugate into the split torus <t> or a non-split torus
@@ -227,7 +230,10 @@ def h0_module(p, m):
 
 def _oracle_work(p, n):
     """Estimated multiply-adds of the blockwise oracle on an H0 of dimension n:
-    the dense p n_d^3 power-stack cost, summed over p + 1 equal blocks."""
+    p n_d^3 per block, for p + 1 equal blocks of n_d = n / (p + 1).  That is
+    about the cost of the one dense stack L^0 .. L^p that decompose_b_oracle
+    builds per block; the estimate was fitted when the oracle built three such
+    stacks, and is kept so that the guard refuses the same points."""
     return p * n**3 // (p + 1) ** 2
 
 
@@ -346,54 +352,30 @@ def _power_stack(ctx, M, count):
     return out
 
 
-def decompose_b_oracle(mod):
-    """Split a B-module into uniserial summands U_{a,b} by pure matrix work.
+def _weight_basis(ctx, T):
+    """The weight basis of rho(t) = T: (P, Q, weight) with Q = P^-1 and
+    P T Q the diagonal zeta^weight, weights ascending.
 
-    N = rho(u) - I must satisfy N^p = 0.  L = log rho(u) = sum_{k<p}
-    (-1)^(k+1) N^k / k has the same kernels and images as N and its powers,
-    and it is weight-homogeneous: rho(t) L = zeta^2 L rho(t), so L maps the
-    weight space V_c = ker(rho(t) - zeta^c) into V_{c-2}.  N itself is not
-    (N = L + L^2/2 + ... mixes weights c-2, c-4, ...), which is why the
-    chains below use L.  Each U_{a,b} is then one L-chain of weight vectors
-    from its top, of weight a + 2(b-1), down to its socle, of weight a.
-
-    The work runs in one basis of weight vectors.  rho(t)^(p-1) = I is
-    asserted, so V_c is the row space of the projector E_c = -sum_k
-    zeta^(-ck) rho(t)^k; one product of the DFT matrix with the stacked
-    powers gives all p-1 of them.  Their rref bases, stacked in order of c,
-    form P; the pivot columns of the projectors, stacked the same way, form
-    P^-1, so no inverse is computed.  L' = P L P^-1 must be zero off the
-    blocks (c, c-2): that is the weight check.
-
-    The chains are then taken from the top down, for s = p, ..., 1.  W, the
-    span of the chains found so far, is a graded submodule, and L^s = 0 on M/W
-    when step s begins (L^p = 0 follows from N^p = 0).  The basis vectors e_i
-    whose images under L^(s-1) form a basis of (M/W) L^(s-1) are the tops of
-    the chains of length s: one elimination picks them.  Their chains e_i L^k,
-    k < s, are free over F[x]/(x^s).  That ring is self-injective, so a free
-    graded submodule of M/W is a graded direct summand, and the other summands
-    are those of the quotient by it.  One more elimination checks that the
-    chains have s * #tops independent vectors mod W and folds them into W.
-    Each top e_i, of weight c, is the top of a U_{a,s} with a = c - 2(s-1) mod
-    p-1.  So the work is two eliminations per chain length, with n pivots plus
-    one per top in all, where a count of the ranks dim V_c L^k would need
-    sum_k rank(L^k) pivots.
-    Returns {BLabel(a, b): n}, in order of b, then a.
+    A diagonal T is one already: P is the stable permutation that sorts its
+    diagonal by discrete log, and a zero there leaves no weight basis.
+    Otherwise rho(t)^(p-1) = I is asserted, so V_c is the row space of the
+    projector E_c = -sum_k zeta^(-ck) rho(t)^k; one product of the DFT
+    matrix with the stacked powers gives all p-1 of them.  Their rref bases,
+    stacked in order of c, form P; the pivot columns of the projectors,
+    stacked the same way, form P^-1, so no inverse is computed.  For a
+    diagonal T both routes give the same P.
     """
-    if mod.group != "B":
-        raise ValueError("decompose_b_oracle expects a B-module (no w generator)")
-    ctx = mod.field
-    p, n = ctx.p, mod.dim
-    arr = mod.arrays()
-    eye = np.eye(n, dtype=np.int64)
-    Npow = _power_stack(ctx, (arr["u"] - eye) % p, p + 1)  # N^0 .. N^p
-    if np.any(Npow[p]):
-        raise ValueError("rho(u) is not unipotent of order dividing p")
-    log_coef = [[pow((-1) ** (k + 1) * k, -1, p) for k in range(1, p)]]
-    L = ctx.matmul(log_coef, Npow[1:p].reshape(p - 1, n * n)).reshape(n, n)
-    del Npow
-    Tpow = _power_stack(ctx, arr["t"], p)  # rho(t)^0 .. rho(t)^(p-1)
-    if not np.array_equal(Tpow[p - 1], eye):
+    p, n = ctx.p, T.shape[0]
+    diag = np.diagonal(T)
+    if np.array_equal(T, np.diag(diag)):
+        if not diag.all():
+            raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
+        logs = np.array([ctx.dlog(v) for v in diag.tolist()], dtype=np.int64)
+        order = np.argsort(logs, kind="stable")
+        P = np.eye(n, dtype=np.int64)[order]
+        return P, P.T, logs[order]
+    Tpow = _power_stack(ctx, T, p)  # rho(t)^0 .. rho(t)^(p-1)
+    if not np.array_equal(Tpow[p - 1], np.eye(n, dtype=np.int64)):
         raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
     zpow = np.array([pow(ctx.zeta, e, p) for e in range(p - 1)])
     exps = np.arange(p - 1)
@@ -408,18 +390,85 @@ def decompose_b_oracle(mod):
     # E_c = E_c[:, piv_c] R_c; and sum_c E_c = -(p-1) I = I.  So
     # Q = [E_c[:, piv_c]]_c, stacked in the order of P, has Q P = I: Q = P^-1.
     Q = np.hstack([E[:, piv] for E, (_, piv) in zip(proj, spaces)])
-    Lw = ctx.matmul(ctx.matmul(P, L), Q)
-    weight = np.repeat(exps, dims)  # the weight of each basis vector
-    off = (Lw != 0) & (weight[None, :] != (weight[:, None] - 2) % (p - 1))
+    return P, Q, np.repeat(exps, dims)
+
+
+def _weight_error(ctx, U, weight):
+    """The error for a unipotent U = P rho(u) Q whose logarithm is not of
+    weight -2: log U = sum_{k<p} (-1)^(k+1) N^k / k with N = U - I, formed
+    densely, names the first weight c that it does not map to c - 2."""
+    p, n = ctx.p, U.shape[0]
+    Npow = _power_stack(ctx, (U - np.eye(n, dtype=np.int64)) % p, p)  # N^0 .. N^(p-1)
+    log_coef = [[pow((-1) ** (k + 1) * k, -1, p) for k in range(1, p)]]
+    L = ctx.matmul(log_coef, Npow[1:].reshape(p - 1, n * n)).reshape(n, n)
+    off = (L != 0) & (weight[None, :] != (weight[:, None] - 2) % (p - 1))
     bad = off.any(axis=1).nonzero()[0]
-    if bad.size:
-        c = int(weight[bad[0]])
-        raise InconsistencyError(f"log rho(u) does not map weight {c} to weight {c - 2}")
-    del Tpow, proj, spaces, L  # like Npow, released before the stack of L'
+    assert bad.size, "a log of weight -2 passes the exp and L^p checks"
+    c = int(weight[bad[0]])
+    return InconsistencyError(f"log rho(u) does not map weight {c} to weight {c - 2}")
+
+
+def decompose_b_oracle(mod):
+    """Split a B-module into uniserial summands U_{a,b} by pure matrix work.
+
+    rho(u)^p = I must hold, so N = rho(u) - I has N^p = 0.  L = log rho(u) =
+    sum_{k<p} (-1)^(k+1) N^k / k has the same kernels and images as N and its
+    powers, and it is weight-homogeneous: rho(t) L = zeta^2 L rho(t), so L
+    maps the weight space V_c = ker(rho(t) - zeta^c) into V_{c-2}.  N itself
+    is not (N = L + L^2/2 + ... mixes weights c-2, c-4, ...), which is why
+    the chains below use L.  Each U_{a,b} is then one L-chain of weight
+    vectors from its top, of weight a + 2(b-1), down to its socle, of weight a.
+
+    The work runs in one weight basis P (_weight_basis): a permutation when
+    rho(t) is diagonal, as on every H0 block, else the rows of the DFT
+    projectors.  There L is taken without a logarithm.  L^j moves weights by
+    -2j mod p-1, and N = sum_{1<=j<p} L^j / j!, so the part N_1 of N that maps
+    weight c to c - 2 is L + L^h / h! with h = (p+1)/2: j = 1 and j = h are
+    the only j < p with 2j = 2 mod p-1.  Every other term of N_1^h has
+    L-degree at least 2h - 1 = p, so N_1^h = L^h and L = N_1 - N_1^h / h!.
+    This L has weight -2 by construction, and it is log rho(u) exactly when
+    L^p = 0 and exp(L) = sum_{j<p} L^j / j! = I + N, both checked on the one
+    stack of its powers; so the two checks hold exactly when log rho(u) has
+    weight -2.  When they fail, log rho(u) is formed densely to name the first
+    weight it does not lower by 2.
+
+    The chains are then taken from the top down, for s = p, ..., 1.  W, the
+    span of the chains found so far, is a graded submodule, and L^s = 0 on M/W
+    when step s begins.  The basis vectors e_i whose images under L^(s-1)
+    form a basis of (M/W) L^(s-1) are the tops of the chains of length s: one
+    elimination picks them.  Their chains e_i L^k, k < s, are free over
+    F[x]/(x^s).  That ring is self-injective, so a free graded submodule of
+    M/W is a graded direct summand, and the other summands are those of the
+    quotient by it.  One more elimination checks that the chains have
+    s * #tops independent vectors mod W and folds them into W.  Each top e_i,
+    of weight c, is the top of a U_{a,s} with a = c - 2(s-1) mod p-1.  So the
+    work is two eliminations per chain length, with n pivots plus one per top
+    in all, where a count of the ranks dim V_c L^k would need sum_k rank(L^k)
+    pivots.
+    Returns {BLabel(a, b): n}, in order of b, then a.
+    """
+    if mod.group != "B":
+        raise ValueError("decompose_b_oracle expects a B-module (no w generator)")
+    ctx = mod.field
+    p, n = ctx.p, mod.dim
+    arr = mod.arrays()
+    eye = np.eye(n, dtype=np.int64)
+    if not np.array_equal(matpow_array(arr["u"], p, p), eye):
+        raise ValueError("rho(u) is not unipotent of order dividing p")
+    P, Q, weight = _weight_basis(ctx, arr["t"])
+    U = ctx.matmul(ctx.matmul(P, arr["u"]), Q)  # I + N in the weight basis
+    down = weight[None, :] == (weight[:, None] - 2) % (p - 1)  # (c, c-2) entries
+    N1 = np.where(down, (U - eye) % p, 0)
+    h = (p + 1) // 2
+    Lw = (N1 - pow(math.factorial(h), -1, p) * matpow_array(N1, h, p)) % p
+    Lpow = _power_stack(ctx, Lw, p + 1)  # L'^0 .. L'^p
+    exp_coef = [[pow(math.factorial(j), -1, p) for j in range(p)]]
+    expL = ctx.matmul(exp_coef, Lpow[:p].reshape(p, n * n)).reshape(n, n)
+    if Lpow[p].any() or not np.array_equal(expL, U):
+        raise _weight_error(ctx, U, weight)
     # W holds the rref rows of the chains found so far, and M/W has the basis
     # e_i off its pivots.  Reducing a weight vector mod W keeps it one, since
     # each row of W shares the weight of its pivot column.
-    Lpow = _power_stack(ctx, Lw, p)  # L'^0 .. L'^(p-1); L'^p = 0 as N^p = 0
     W, wpiv = np.zeros((0, n), dtype=np.int64), []
 
     def mod_w(X):

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drinfeld import curve
 from drinfeld.curve import (
     GroupElement,
     PolyDiffIndex,
@@ -372,3 +373,40 @@ def test_block_matrices_assemble_to_action_matrix(data):
     t_blocks = block_action_matrices(t, basis)
     for d, blk in blocks.items():
         assert blk @ t_blocks[d] == st_blocks[d]
+
+
+def test_blocks_from_shared_reductions_match_the_scalar_expansion():
+    # u, t and w on one basis: the second and third calls reuse the
+    # reductions of the first
+    for q, m in [(3, 4), (5, 3), (7, 2), (9, 2)]:
+        basis = enumerate_basis(q, m)
+        ctx = field(basis.p, basis.r)
+        for sigma in (u_gen(ctx), t_gen(ctx), w_gen(ctx)):
+            full = np.zeros((len(basis), len(basis)), dtype=np.int64)
+            lo = 0
+            for blk in block_action_matrices(sigma, basis).values():
+                full[lo : lo + blk.rows, lo : lo + blk.rows] = blk.data
+                lo += blk.rows
+            assert full.tolist() == _scalar_action_rows(sigma, enumerate_basis(q, m))
+            assert np.array_equal(full, action_matrix(sigma, enumerate_basis(q, m)).data)
+
+
+def test_block_reductions_are_computed_once_per_basis(monkeypatch):
+    basis = enumerate_basis(7, 3)
+    ctx = field(7)
+    first = block_action_matrices(u_gen(ctx), basis)
+    calls = []
+    real = curve._reduce
+
+    def counted(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(curve, "_reduce", counted)
+    again = block_action_matrices(u_gen(ctx), basis)
+    block_action_matrices(w_gen(ctx), basis)
+    assert calls == []
+    assert all(again[d] == blk for d, blk in first.items())
+    # a new basis reduces its monomials again
+    block_action_matrices(u_gen(ctx), enumerate_basis(7, 3))
+    assert calls

@@ -461,6 +461,170 @@ def test_b_oracle_matches_kernel_chain_on_many_summands(data):
     assert got == dict(Counter(BLabel(a, b) for a, b in labels))
 
 
+def _dft_log_b_labels(mod):
+    """The B-labels by the earlier weight-basis route, kept as the reference
+    for decompose_b_oracle: the weight basis from DFT projectors of the
+    stacked powers of rho(t), L = log rho(u) from the stacked powers of N,
+    L' = P L P^-1 checked for the (c, c-2) block pattern, then the same
+    top-down chains on the stack of L'."""
+    ctx = mod.field
+    p, n = ctx.p, mod.dim
+    arr = mod.arrays()
+    eye = np.eye(n, dtype=np.int64)
+    Npow = modrep._power_stack(ctx, (arr["u"] - eye) % p, p + 1)  # N^0 .. N^p
+    if np.any(Npow[p]):
+        raise ValueError("rho(u) is not unipotent of order dividing p")
+    log_coef = [[pow((-1) ** (k + 1) * k, -1, p) for k in range(1, p)]]
+    L = ctx.matmul(log_coef, Npow[1:p].reshape(p - 1, n * n)).reshape(n, n)
+    Tpow = modrep._power_stack(ctx, arr["t"], p)  # rho(t)^0 .. rho(t)^(p-1)
+    if not np.array_equal(Tpow[p - 1], eye):
+        raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
+    zpow = np.array([pow(ctx.zeta, e, p) for e in range(p - 1)])
+    exps = np.arange(p - 1)
+    dft = -zpow[-np.outer(exps, exps) % (p - 1)] % p
+    proj = ctx.matmul(dft, Tpow[: p - 1].reshape(p - 1, n * n)).reshape(p - 1, n, n)
+    spaces = [modrep._row_space(E, p) for E in proj]
+    dims = [len(piv) for _, piv in spaces]
+    if sum(dims) != n:
+        raise InconsistencyError(f"rho(t) eigenspaces span {sum(dims)} of {n} dimensions")
+    P = np.vstack([V for V, _ in spaces])
+    Q = np.hstack([E[:, piv] for E, (_, piv) in zip(proj, spaces)])
+    Lw = ctx.matmul(ctx.matmul(P, L), Q)
+    weight = np.repeat(exps, dims)
+    off = (Lw != 0) & (weight[None, :] != (weight[:, None] - 2) % (p - 1))
+    bad = off.any(axis=1).nonzero()[0]
+    if bad.size:
+        c = int(weight[bad[0]])
+        raise InconsistencyError(f"log rho(u) does not map weight {c} to weight {c - 2}")
+    Lpow = modrep._power_stack(ctx, Lw, p)
+    W, wpiv = np.zeros((0, n), dtype=np.int64), []
+
+    def mod_w(X):
+        return (X - ctx.matmul(X[:, wpiv], W)) % p
+
+    found = Counter()
+    for s in range(p, 0, -1):
+        if len(wpiv) == n:
+            break
+        free = np.delete(np.arange(n), wpiv)
+        X = mod_w(Lpow[s - 1][free])
+        if not X.any():
+            continue
+        tops = free[modrep._row_space(X[:, free].T, p)[1]]
+        C, cpiv = modrep._row_space(mod_w(Lpow[:s, tops].reshape(s * tops.size, n)), p)
+        if len(cpiv) != s * tops.size:
+            raise InconsistencyError(
+                f"the {tops.size} L-chains of length {s} span {len(cpiv)} "
+                f"of {s * tops.size} dimensions"
+            )
+        W = np.vstack([(W - ctx.matmul(W[:, cpiv], C)) % p, C])
+        wpiv += cpiv
+        found.update((a, s) for a in ((weight[tops] - 2 * (s - 1)) % (p - 1)).tolist())
+    out = {BLabel(a, b): found[a, b] for a, b in sorted(found, key=lambda ab: ab[::-1])}
+    if sum(lab.b * k for lab, k in out.items()) != n:
+        raise InconsistencyError("recovered summands do not fill the module")
+    return out
+
+
+def _is_diagonal(T):
+    return np.array_equal(T, np.diag(np.diagonal(T)))
+
+
+def test_b_oracle_matches_dft_log_reference_on_h0_blocks():
+    # the torus scales each monomial, so every block takes the diagonal route
+    for p, m in [(5, 3), (7, 4), (11, 4), (13, 3), (31, 3)]:
+        for deg, mod in h0_blocks(p, m).items():
+            mod = restrict_to_b(mod)
+            assert _is_diagonal(mod.gens["t"].data), (p, m, deg)
+            assert decompose_b_oracle(mod) == _dft_log_b_labels(mod), (p, m, deg)
+
+
+def _draw_both_parity_labels(data, p):
+    # a long chain and a short one with socle weights of both parities, then
+    # random labels and a repeat, in a random order
+    half = (p - 1) // 2
+    label = st.tuples(st.integers(0, p - 2), st.integers(1, p))
+    labels = [
+        (data.draw(st.sampled_from(range(0, p - 1, 2))), data.draw(st.integers(half + 1, p))),
+        (data.draw(st.sampled_from(range(1, p - 1, 2))), data.draw(st.integers(1, half))),
+    ]
+    labels += data.draw(st.lists(label, min_size=1, max_size=6))
+    labels.append(data.draw(st.sampled_from(labels)))
+    return data.draw(st.permutations(labels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_b_oracle_matches_dft_log_reference_on_diagonal_sums(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    labels = _draw_both_parity_labels(data, p)
+    mod = functools.reduce(direct_sum, (uab_module(a, b, p) for a, b in labels)).validate()
+    assert _is_diagonal(mod.gens["t"].data)
+    got = decompose_b_oracle(mod)
+    assert got == _dft_log_b_labels(mod)
+    assert got == dict(Counter(BLabel(a, b) for a, b in labels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_b_oracle_matches_dft_log_reference_on_random_basis_sums(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    labels = _draw_both_parity_labels(data, p)
+    mod = functools.reduce(direct_sum, (uab_module(a, b, p) for a, b in labels))
+    hidden = _random_basis(data, mod).validate()
+    got = decompose_b_oracle(hidden)
+    assert got == _dft_log_b_labels(hidden)
+    assert got == dict(Counter(BLabel(a, b) for a, b in labels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_b_oracle_errors_match_dft_log_reference_on_retorused_sums(data):
+    # random torus weights on the Jordan basis, kept diagonal or hidden by a
+    # random basis: both routes must fail on the same first weight as the
+    # reference, or agree with it on the labels
+    _, mod = _draw_uab_sum(data, [3, 5, 7, 11])
+    ctx, p = mod.field, mod.field.p
+    weights = data.draw(st.lists(st.integers(0, p - 2), min_size=mod.dim, max_size=mod.dim))
+    torus = FqMatrix(ctx, np.diag([pow(ctx.zeta, e, p) for e in weights]))
+    retorused = ModuleRep(ctx, mod.dim, {"u": mod.gens["u"], "t": torus})
+    if data.draw(st.booleans()):
+        retorused = _random_basis(data, retorused)
+    want = _outcome(lambda: _dft_log_b_labels(retorused))
+    assert _outcome(lambda: decompose_b_oracle(retorused)) == want
+
+
+def test_b_oracle_builds_one_power_stack_on_h0_blocks(monkeypatch):
+    calls = []
+
+    def counted(ctx, M, count):
+        calls.append(count)
+        return stack(ctx, M, count)
+
+    stack = modrep._power_stack
+    blocks = h0_blocks(11, 4)
+    monkeypatch.setattr(modrep, "_power_stack", counted)
+    for deg, mod in blocks.items():
+        calls.clear()
+        decompose_b_oracle(restrict_to_b(mod))
+        assert calls == [12], (deg, calls)  # L'^0 .. L'^p
+
+
+def test_b_oracle_makes_no_projector_elimination_on_h0_blocks(monkeypatch):
+    calls = []
+
+    def counted(A, p):
+        calls.append(A.shape)
+        return rref_array(A, p)
+
+    monkeypatch.setattr(modrep, "rref_array", counted)
+    for p, m in [(7, 4), (13, 3)]:
+        for deg, mod in h0_blocks(p, m).items():
+            calls.clear()
+            lengths = {lab.b for lab in decompose_b_oracle(restrict_to_b(mod))}
+            assert len(calls) <= 2 * len(lengths), (p, m, deg, len(calls), sorted(lengths))
+
+
 def test_b_oracle_makes_two_eliminations_per_chain_length(monkeypatch):
     # one rref per weight projector, then two per distinct chain length: none
     # per power of L
