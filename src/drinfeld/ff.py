@@ -28,7 +28,9 @@ its products as float64 BLAS products: every operand entry is a residue or
 digit in [0, p), so every partial sum of the float product is a non-negative
 integer at most r * inner * (p-1)^2.  matmul raises ValueError unless that
 bound is below 2^53, where float64 holds every integer exactly, whatever the
-summation order; entries outside [0, q) raise ValueError too.  FieldCtx
+summation order; entries outside [0, q) raise ValueError too.  Axes before
+the last two are batch axes, broadcast as numpy's @ does, so one call takes
+a stack of products; the bound is on the inner dimension alone.  FieldCtx
 refuses p >= 2^31, so the int64 products c * X of submul and mul stay below
 2^62.
 """
@@ -285,12 +287,15 @@ class FieldCtx:
     def matmul(self, A, B):
         """A @ B on packed arrays, by float64 BLAS products that are exact.
 
-        Every partial sum is a sum of at most r * inner products of two digits
-        in [0, p); below 2^53 float64 holds it exactly in any order, so one
-        cast back to int64 and one % p give the residues.
+        Axes before the last two are batch axes, broadcast as numpy's @
+        does, so one call takes a whole stack of products.  Every partial
+        sum is a sum of at most r * inner products of two digits in [0, p);
+        below 2^53 float64 holds it exactly in any order, so one cast back to
+        int64 and one % p give the residues.  The bound depends on the inner
+        dimension alone, not on the batch size.
         """
         A, B = self._operand(A), self._operand(B)
-        (rows, inner), cols, p, r = A.shape, B.shape[1], self.p, self.r
+        (rows, inner), cols, p, r = A.shape[-2:], B.shape[-1], self.p, self.r
         if r * inner * (p - 1) ** 2 >= FLOAT_EXACT:
             raise ValueError(
                 f"{self!r} product {A.shape} @ {B.shape} is past the float64 bound: "
@@ -301,19 +306,20 @@ class FieldCtx:
             C %= p
             return C
         # the digit planes A_k of A, each C-contiguous so that @ runs in BLAS
-        planes = self.unpack_array(A).transpose(2, 0, 1).astype(np.float64, order="C")
-        C = np.zeros((rows, cols * r))
+        planes = np.moveaxis(self.unpack_array(A), -1, 0).astype(np.float64, order="C")
+        batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+        C = np.zeros(batch + (rows, cols * r))
         for plane, shifted in zip(planes, self._shifts(self.unpack_array(B))):
-            C += plane @ shifted.reshape(inner, cols * r).astype(np.float64)
+            C += plane @ shifted.reshape(*B.shape[:-1], cols * r).astype(np.float64)
         C = C.astype(np.int64)
         C %= p
-        return C.reshape(rows, cols, r) @ self._place
+        return C.reshape(*C.shape[:-1], cols, r) @ self._place
 
     def _operand(self, X):
         # one reduction: a negative entry reads as a huge unsigned value
         X = np.asarray(X, dtype=np.int64)
-        if X.ndim != 2 or X.view(np.uint64).max(initial=0) >= self.q:
-            raise ValueError(f"matmul operands must be 2-d arrays of values in [0, {self.q})")
+        if X.ndim < 2 or X.view(np.uint64).max(initial=0) >= self.q:
+            raise ValueError(f"matmul operands must be arrays of ndim >= 2 with values in [0, {self.q})")
         return X
 
     @cached_property

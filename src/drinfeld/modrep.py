@@ -19,7 +19,10 @@ which hold exactly when log rho(u) has weight -2.  The chains are taken from
 the top down, longest first, with two eliminations per chain length, so the
 pivots number n plus the chain count instead of sum_k rank(L^k).  U_{a,b} is
 built in a weight basis too, (log u)^k, where rho(t) is diagonal.
-Induction is realized through an explicit coset transversal.  Composition
+Induction is realized through an explicit coset transversal: its coset
+bookkeeping depends on the field and the transversal alone, so it is a table
+built once per pair, and each generator's p + 1 blocks come from one
+batched product (FieldCtx.matmul takes leading batch axes).  Composition
 factors over the full group come from Brauer characters: every p-regular
 element of SL2(p) is conjugate into the split torus <t> or a non-split torus
 <c>, so eigenvalue counts of rho(t) and rho(c) fix the factors, solved
@@ -688,20 +691,15 @@ def _coset_key(g):
     return (1, (g.delta / g.gamma).val)
 
 
-def induce_to_g(mod, p=None, transversal=None):
-    """Induce a B-module to G with permutation-with-cocycle block matrices.
-
-    Basis vectors are pairs (coset index, module coordinate); for each
-    generator g and representative g_i, write g_i g = b g_j with b in B,
-    factor b = t^e u^n, and install rho(t)^e rho(u)^n as block (i, j).
-    """
-    if mod.group != "B":
-        raise ValueError("induce_to_g expects a B-module")
-    ctx = mod.field
-    if p is not None and p != ctx.p:
-        raise ValueError(f"module is over GF({ctx.p}), not GF({p})")
+@lru_cache(maxsize=None)
+def _coset_table(ctx, reps):
+    """The coset bookkeeping of induce_to_g, which depends on the field and
+    the transversal alone: for each generator name, arrays (j, e, n) with
+    g_i g = t^e u^n g_j for i = 0..p.  reps is a tuple of representatives,
+    or None for default_transversal.  A bad transversal raises, and since
+    lru_cache keeps only returned values, it raises on every call."""
     p = ctx.p
-    reps = default_transversal(ctx) if transversal is None else list(transversal)
+    reps = tuple(default_transversal(ctx)) if reps is None else reps
     if len(reps) != p + 1:
         raise ValueError(f"transversal must have {p + 1} representatives")
     keymap = {}
@@ -710,26 +708,48 @@ def induce_to_g(mod, p=None, transversal=None):
         if key in keymap:
             raise ValueError("transversal representatives share a coset")
         keymap[key] = j
-    arr = mod.arrays()
-    tpow = _power_stack(ctx, arr["t"], p - 1)  # rho(t)^0 .. rho(t)^(p-2)
-    upow = _power_stack(ctx, arr["u"], p)  # rho(u)^0 .. rho(u)^(p-1)
-    dm = mod.dim
-    dim = (p + 1) * dm
-    gens = {}
+    table = {}
     for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx))):
-        big = np.zeros((dim, dim), dtype=np.int64)
+        J, E, N = (np.empty(p + 1, dtype=np.intp) for _ in range(3))
         for i, rep in enumerate(reps):
             h = rep * g
             j = keymap[_coset_key(h)]
             b = h * reps[j].inverse()
             if not b.gamma.is_zero():
                 raise InconsistencyError("coset bookkeeping produced a non-B factor")
-            e = ctx.dlog(b.alpha.val)
-            nshift = (b.beta / b.alpha).val
-            big[i * dm : (i + 1) * dm, j * dm : (j + 1) * dm] = ctx.matmul(
-                tpow[e], upow[nshift]
-            )
-        gens[name] = FqMatrix(ctx, big)
+            J[i], E[i], N[i] = j, ctx.dlog(b.alpha.val), (b.beta / b.alpha).val
+        for X in (J, E, N):
+            X.flags.writeable = False
+        table[name] = (J, E, N)
+    return table
+
+
+def induce_to_g(mod, p=None, transversal=None):
+    """Induce a B-module to G with permutation-with-cocycle block matrices.
+
+    Basis vectors are pairs (coset index, module coordinate); for each
+    generator g and representative g_i, write g_i g = b g_j with b in B,
+    factor b = t^e u^n, and install rho(t)^e rho(u)^n as block (i, j).
+    The pairs (j, e, n) come from _coset_table, built once per field and
+    transversal; the p + 1 blocks of a generator are one batched product.
+    """
+    if mod.group != "B":
+        raise ValueError("induce_to_g expects a B-module")
+    ctx = mod.field
+    if p is not None and p != ctx.p:
+        raise ValueError(f"module is over GF({ctx.p}), not GF({p})")
+    p = ctx.p
+    table = _coset_table(ctx, None if transversal is None else tuple(transversal))
+    arr = mod.arrays()
+    tpow = _power_stack(ctx, arr["t"], p - 1)  # rho(t)^0 .. rho(t)^(p-2)
+    upow = _power_stack(ctx, arr["u"], p)  # rho(u)^0 .. rho(u)^(p-1)
+    dm = mod.dim
+    dim = (p + 1) * dm
+    gens = {}
+    for name, (J, E, N) in table.items():
+        big = np.zeros((p + 1, dm, p + 1, dm), dtype=np.int64)
+        big[np.arange(p + 1), :, J] = ctx.matmul(tpow[E], upow[N])  # block (i, J[i])
+        gens[name] = FqMatrix(ctx, big.reshape(dim, dim))
     return ModuleRep(ctx, dim, gens).validate()
 
 

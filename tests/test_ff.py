@@ -385,6 +385,59 @@ def test_matmul_rejects_operands_out_of_range(p, r):
             ctx.matmul(good, wrong)
 
 
+@pytest.mark.parametrize("p,r", [(7, 1), (3, 2), (3, 3)])
+def test_matmul_batch_axis_matches_stacked_products(p, r):
+    ctx = make_field(p, r)
+    rng = np.random.default_rng(10 * p + r)
+    A = rng.integers(0, ctx.q, (4, 3, 5))
+    B = rng.integers(0, ctx.q, (4, 5, 2))
+    C = ctx.matmul(A, B)
+    assert C.dtype == np.int64 and C.shape == (4, 3, 2)
+    assert np.array_equal(C, np.stack([ctx.matmul(a, b) for a, b in zip(A, B)]))
+    # a 2-d operand is broadcast over the other's batch axis, as numpy's @ does
+    assert np.array_equal(ctx.matmul(A[0], B), np.stack([ctx.matmul(A[0], b) for b in B]))
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (3, 2)])
+def test_matmul_batch_operands_checked_as_2d_ones(p, r):
+    ctx = make_field(p, r)
+    good = np.ones((3, 2, 2), dtype=np.int64)
+    for bad in (-1, ctx.q):
+        wrong = good.copy()
+        wrong[2, 1, 0] = bad
+        for A, B in ((wrong, good), (good, wrong)):
+            with pytest.raises(ValueError) as batched:
+                ctx.matmul(A, B)
+            with pytest.raises(ValueError) as flat:
+                ctx.matmul(A[2], B[2])
+            assert str(batched.value) == str(flat.value)
+
+
+def test_matmul_batch_bound_is_on_the_inner_dimension():
+    # as in test_matmul_exact_up_to_the_float_bound: inner 9007 is exact at
+    # p = 1000003, whatever the batch size, and inner 9008 is refused
+    ctx = FieldCtx(1000003, 1, (0, 1), 2)
+    A = np.full((3, 1, 9007), ctx.q - 1)
+    B = A.transpose(0, 2, 1).copy()
+    C = ctx.matmul(A, B)
+    assert np.array_equal(C, np.stack([_object_matmul(ctx, a, b) for a, b in zip(A, B)]))
+    A = np.full((3, 1, 9008), ctx.q - 1)
+    bound = r"1 \* 9008 \* \(1000003-1\)\^2 >= 2\^53"
+    with pytest.raises(ValueError, match=bound):
+        ctx.matmul(A, A.transpose(0, 2, 1).copy())
+    with pytest.raises(ValueError, match=bound):
+        ctx.matmul(A[0], A[0].T.copy())
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (3, 2)])
+def test_matmul_refuses_1d_operands(p, r):
+    ctx = make_field(p, r)
+    v, M = np.ones(2, dtype=np.int64), np.ones((2, 2), dtype=np.int64)
+    for A, B in ((v, v), (v, M), (M, v)):
+        with pytest.raises(ValueError, match="operands"):
+            ctx.matmul(A, B)
+
+
 def test_fqmatrix_inverse_round_trip():
     rng = random.Random(13)
     for p, r in [(5, 1), (3, 2)]:

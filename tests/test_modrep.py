@@ -1054,6 +1054,81 @@ def test_induce_transversal_validation():
         induce_to_g(h0(3, 2))
 
 
+def _reference_induce_gens(mod, reps):
+    """induce_to_g's generator arrays with the coset bookkeeping redone for
+    every block in GroupElement arithmetic, and each block a product of two
+    matrix powers: g_i g = t^e u^n g_j puts rho(t)^e rho(u)^n at (i, j)."""
+    ctx, dm = mod.field, mod.dim
+    p = ctx.p
+
+    def key(g):  # the right coset Bg, from the bottom row up to scalar
+        return (0, 0) if g.gamma.is_zero() else (1, (g.delta / g.gamma).val)
+
+    keymap = {key(rep): j for j, rep in enumerate(reps)}
+    assert len(keymap) == len(reps) == p + 1
+    arr = mod.arrays()
+    gens = {}
+    for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx))):
+        big = np.zeros(((p + 1) * dm, (p + 1) * dm), dtype=np.int64)
+        for i, rep in enumerate(reps):
+            h = rep * g
+            j = keymap[key(h)]
+            b = h * reps[j].inverse()
+            assert b.gamma.is_zero()
+            e, n = ctx.dlog(b.alpha.val), (b.beta / b.alpha).val
+            block = ctx.matmul(matpow_array(arr["t"], e, p), matpow_array(arr["u"], n, p))
+            big[i * dm : (i + 1) * dm, j * dm : (j + 1) * dm] = block
+        gens[name] = big
+    return gens
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_induce_matches_per_call_bookkeeping(p):
+    reps = default_transversal(field(p))
+    transversals = [None]
+    if p == 5:  # the shuffle of test_induce_transversal_invariance
+        transversals.append([reps[3], reps[0], reps[5], reps[1], reps[4], reps[2]])
+    for transversal in transversals:
+        for a in range(p - 1):
+            for b in range(1, p + 1):
+                mod = uab_module(a, b, p)
+                got = induce_to_g(mod, transversal=transversal).arrays()
+                want = _reference_induce_gens(mod, reps if transversal is None else transversal)
+                for name in ("u", "t", "w"):
+                    assert got[name].dtype == want[name].dtype
+                    assert got[name].shape == want[name].shape
+                    assert got[name].tobytes() == want[name].tobytes(), (a, b, name)
+
+
+def test_coset_table_is_built_once_per_transversal(monkeypatch):
+    calls = Counter()
+    mul = GroupElement.__mul__
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counting_mul)
+    modrep._coset_table.cache_clear()
+    induce_to_g(uab_module(0, 3, 7))
+    assert calls["mul"] > 0
+    calls.clear()
+    induce_to_g(uab_module(2, 5, 7))
+    assert calls["mul"] == 0
+    # a failed build is not cached: the bad transversals of
+    # test_induce_transversal_validation raise on every call
+    mod = uab_module(0, 1, 3)
+    reps = default_transversal(field(3))
+    bad = [
+        (reps[:-1], "must have 4 representatives"),
+        (reps[:-1] + [reps[0]], "share a coset"),
+    ]
+    for transversal, message in bad:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                induce_to_g(mod, transversal=transversal)
+
+
 # -- Cartan certificate ----------------------------------------------------------------
 
 
