@@ -16,12 +16,18 @@ r products A_k @ (B * x^k) over the digit planes A_k of A, with the shifts
 B * x^k from FieldCtx._shifts, which also builds the MUL table.  Tables are
 built only for q <= TABLE_MAX_Q = 2048; a larger field raises ValueError.
 The *_array functions are the prime-field entry points on plain residue
-arrays.  One of them exists over the prime field only: charpoly_array
-reduces a square matrix to upper Hessenberg form by similarity (per pivot,
-one row operation and the inverse column operation) and reads the
-characteristic polynomial off the Hessenberg recurrence;
-poly_multiplicity counts how often a monic factor divides such a
-polynomial, by repeated exact division.
+arrays.  Two of them exist over the prime field only, and together they
+count eigenvalues with no polynomial division.  charpoly_array reduces a
+square matrix to upper Hessenberg form by similarity (per pivot, one row
+operation and the inverse column operation) and reads the characteristic
+polynomial off the Hessenberg recurrence.  root_multiplicities counts how
+often each given root divides a polynomial: a root r != 0 has
+multiplicity j when its Hasse derivatives (D^i f)(r) vanish for i < j and
+(D^j f)(r) does not, and r^i (D^i f)(r) is sum_k C(k, i) f_k r^k, so one
+matmul of the binomial-weighted coefficients with the Vandermonde matrix of
+the roots gives every count.  Hasse derivatives, unlike ordinary ones, stay
+right for multiplicities >= p.  A root 0 counts the trailing zero
+coefficients.
 
 Everything is exact.  The one use of floating point is matmul, which runs
 its products as float64 BLAS products: every operand entry is a residue or
@@ -30,9 +36,14 @@ integer at most r * inner * (p-1)^2.  matmul raises ValueError unless that
 bound is below 2^53, where float64 holds every integer exactly, whatever the
 summation order; entries outside [0, q) raise ValueError too.  Axes before
 the last two are batch axes, broadcast as numpy's @ does, so one call takes
-a stack of products; the bound is on the inner dimension alone.  FieldCtx
-refuses p >= 2^31, so the int64 products c * X of submul and mul stay below
-2^62.
+a stack of products; the bound is on the inner dimension alone.
+charpoly_array alone takes its products outside matmul: its column
+operation and its recurrence are int64 products of residues followed by
+% p, one small product per row, where matmul's float copies and range
+checks would cost more than the product.  Each result is a residue plus at
+most n products below (p-1)^2, so charpoly_array raises ValueError unless
+n * (p-1)^2 + p < 2^63.  FieldCtx refuses p >= 2^31, so the int64 products
+c * X of submul and mul stay below 2^62.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ __all__ = [
     "kernel_array",
     "rank_array",
     "charpoly_array",
-    "poly_multiplicity",
+    "root_multiplicities",
     "inv_array",
     "matpow_array",
 ]
@@ -66,6 +77,8 @@ __all__ = [
 TABLE_MAX_Q = 2048
 # every integer of absolute value up to 2^53 is a float64
 FLOAT_EXACT = 2**53
+# every integer of absolute value below 2^63 is an int64
+INT64_EXACT = 2**63
 # p < 2^31 keeps c * X in submul and mul below 2^62, inside int64
 MAX_P = 2**31
 
@@ -109,18 +122,6 @@ def _poly_divmod(a, b, p):
 
 def _poly_rem(a, b, p):
     return _poly_divmod(a, b, p)[1]
-
-
-def poly_multiplicity(f, g, p):
-    """How often the monic g divides f mod p (residue lists, low degree
-    first), by repeated exact division; returns the count and the cofactor."""
-    k = 0
-    while len(f) >= len(g):
-        q, r = _poly_divmod(f, g, p)
-        if r:
-            break
-        f, k = q, k + 1
-    return k, f
 
 
 def _is_irreducible(f, p):
@@ -323,12 +324,19 @@ class FieldCtx:
         return X
 
     @cached_property
-    def _dlog(self):
-        # discrete log base zeta on the prime field's nonzero residues
-        table, v = {}, 1
-        for e in range(self.p - 1):
-            table[v] = e
+    def _zeta_powers(self):
+        # zeta^e mod p for e = 0..p-2
+        powers, v = [], 1
+        for _ in range(self.p - 1):
+            powers.append(v)
             v = v * self.zeta % self.p
+        return np.array(powers, dtype=np.int64)
+
+    @cached_property
+    def _dlog(self):
+        # discrete log base zeta of each prime-field residue; entry 0 is unused
+        table = np.zeros(self.p, dtype=np.int64)
+        table[self._zeta_powers] = np.arange(self.p - 1)
         return table
 
     def dlog(self, a):
@@ -336,7 +344,7 @@ class FieldCtx:
         a = int(a) % self.p
         if a == 0:
             raise ZeroDivisionError("dlog of zero")
-        return self._dlog[a]
+        return int(self._dlog[a])
 
     # -- element construction ----------------------------------------------
 
@@ -526,8 +534,15 @@ def _charpoly(ctx, H):
     # reduces H in place to upper Hessenberg form by similarity, then runs
     # the Hessenberg recurrence (Cohen, A Course in Computational Algebraic
     # Number Theory, 1993, Algorithm 2.2.9); prime fields only.  Each pivot
-    # is also scaled to 1, so every subdiagonal entry ends up 0 or 1.
+    # is also scaled to 1, so every subdiagonal entry ends up 0 or 1.  The
+    # products are int64 @ then % p: each sums a residue and at most n
+    # products of two residues, exact below 2^63.
     n, p = H.shape[0], ctx.p
+    if n * (p - 1) ** 2 + p >= INT64_EXACT:
+        raise ValueError(
+            f"charpoly of a {n} x {n} matrix mod {p} is past the int64 bound: "
+            f"{n} * ({p}-1)^2 + {p} >= 2^63"
+        )
     for m in range(1, n):
         nz = H[m:, m - 1].nonzero()[0]
         if nz.size == 0:
@@ -543,9 +558,9 @@ def _charpoly(ctx, H):
         # row j -= u_j row m for j > m, then column m += sum_j u_j column j
         j = H[m + 1 :, m - 1].nonzero()[0] + (m + 1)
         if j.size:
-            u = H[j, m - 1, None]
-            H[j, m - 1 :] = ctx.submul(H[j, m - 1 :], u, H[m, m - 1 :])
-            H[:, m] = (H[:, m] + ctx.matmul(H[:, j], u)[:, 0]) % p
+            u = H[j, m - 1]
+            H[j, m - 1 :] = ctx.submul(H[j, m - 1 :], u[:, None], H[m, m - 1 :])
+            H[:, m] = (H[:, m] + H[:, j] @ u) % p
     # P[k] is the characteristic polynomial of the leading k x k block.  The
     # subdiagonal entries are 0 or 1, so with lo the last index up to k whose
     # H[lo, lo-1] is 0 (or 0), P[k+1] = x P[k] - sum_{lo<=i<=k} H[i, k] P[i]
@@ -556,10 +571,21 @@ def _charpoly(ctx, H):
         if k and not H[k, k - 1]:
             lo = k
         P[k + 1, 1 : k + 2] = P[k, : k + 1]
-        P[k + 1, : k + 1] = ctx.submul(
-            P[k + 1, : k + 1], 1, ctx.matmul(H[None, lo : k + 1, k], P[lo : k + 1, : k + 1])[0]
-        )
+        P[k + 1, : k + 1] = (P[k + 1, : k + 1] - H[lo : k + 1, k] @ P[lo : k + 1, : k + 1]) % p
     return P[n]
+
+
+@lru_cache(maxsize=None)
+def _binomials(n, p):
+    # B[j, k] = C(k, j) mod p for 0 <= j, k <= n, by Pascal's rule
+    # C(k, j) = sum_{i<k} C(i, j-1), in the least dtype that holds a residue
+    B = np.zeros((n + 1, n + 1), dtype=np.int64)
+    B[0] = 1
+    for j in range(1, n + 1):
+        B[j, 1:] = np.cumsum(B[j - 1, :-1]) % p
+    B = B.astype(np.min_scalar_type(p - 1))
+    B.flags.writeable = False
+    return B
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +623,31 @@ def charpoly_array(A, p):
     if A.shape[0] != A.shape[1]:
         raise ValueError("charpoly needs a square matrix")
     return _charpoly(_prime_field(p), A)
+
+
+def root_multiplicities(f, roots, p):
+    """Multiplicity of each of the roots in the polynomial f mod p (residues,
+    low degree first, leading coefficient nonzero), with no division.
+
+    For r != 0, M[j] = r^j (D^j f)(r) = sum_k C(k, j) f_k r^k, where D^j is
+    the j-th Hasse derivative, and the multiplicity of r is the least j with
+    M[j] != 0; M[n] = f_n r^n never vanishes.  One matmul of the binomial-
+    weighted coefficients with the Vandermonde matrix of the roots, r^k read
+    off the powers of zeta, gives M for every root at once.  A root 0 has the
+    multiplicity of the trailing zero coefficients.
+    """
+    ctx = _prime_field(p)
+    f = np.asarray(f, dtype=np.int64) % p
+    if f.ndim != 1 or f.size == 0 or f[-1] == 0:
+        raise ValueError("root_multiplicities needs a 1-d polynomial with a nonzero leading coefficient")
+    roots = np.asarray(roots, dtype=np.int64) % p
+    n = f.size - 1
+    logs = ctx._dlog[roots]  # a root 0 gets the column of 1 = zeta^0, unread
+    V = ctx._zeta_powers[np.outer(np.arange(n + 1), logs) % (p - 1)]
+    M = ctx.matmul(_binomials(n, p) * f % p, V)
+    counts = (M != 0).argmax(axis=0)
+    counts[roots == 0] = (f != 0).argmax()
+    return counts.tolist()
 
 
 def inv_array(A, p):

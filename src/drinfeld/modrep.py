@@ -27,14 +27,20 @@ factors over the full group come from Brauer characters: every p-regular
 element of SL2(p) is conjugate into the split torus <t> or a non-split torus
 <c>, so eigenvalue counts of rho(t) and rho(c) fix the factors, solved
 against the same counts of V_1..V_p.  Both operators are semisimple, so each
-count is the multiplicity of a known factor of a characteristic polynomial
-mod p.  verify_full and cartan_check use them; the iterated-socle oracle
+count is the multiplicity of a known root of a characteristic polynomial
+mod p: of zeta^a for rho(t), and of a trace tau_k in F_p for
+rho(c) + rho(c)^-1, whose eigenvalue tau_k pairs the Frobenius conjugates
+lambda^k, lambda^-k of rho(c).  ff.root_multiplicities reads all of them
+from Hasse derivatives with one product per operator and no polynomial
+division.  verify_full and cartan_check use them; the iterated-socle oracle
 comp_factors_oracle is kept as the small-size cross-check.  The Cartan
 system ties the correspondent factor tables back to oracle counts.  All
-arithmetic is exact: residues mod p in int64 arrays, every mod-p product
-taken by FieldCtx.matmul (float64 BLAS under its asserted 2^53 exactness
-bound), and Fractions for the Brauer and Cartan solves, whose eliminations
-depend only on p and run once per p.
+arithmetic is exact: residues mod p in int64 arrays, every mod-p matrix
+product taken by FieldCtx.matmul (float64 BLAS under its asserted 2^53
+exactness bound) except the per-row int64 products inside
+ff.charpoly_array (under its asserted 2^63 bound), and Fractions for the
+Brauer and Cartan solves, whose eliminations depend only on p and run once
+per p.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from .ff import (
     kernel_array,
     make_field,
     matpow_array,
-    poly_multiplicity,
+    root_multiplicities,
     rref_array,
 )
 
@@ -606,36 +612,37 @@ def _brauer_counts(mod):
 
     Both operators are semisimple (rho(t)^(p-1) = I, asserted by validate,
     and rho(c)^(p+1) = I, asserted here; neither order is divisible by p), so
-    each count is the multiplicity of a factor of a characteristic polynomial.
-    The split part is the multiplicity of x - zeta^a in charpoly(rho(t)) for
-    a = 0..p-2.  The eigenvalues of rho(c) are powers lambda^k in F_{p^2},
-    and lambda^k, lambda^-k are Frobenius conjugates with equal multiplicity,
-    so the non-split part is the multiplicity of x - 1 and of x + 1 in
-    charpoly(rho(c)), then that of x^2 - tau_k x + 1 for k = 1..(p-1)/2.
+    each count is the multiplicity of a root of a characteristic polynomial,
+    read by root_multiplicities from Hasse derivatives with one product and
+    no division.  The split part is the multiplicity of zeta^a in
+    charpoly(rho(t)) for a = 0..p-2.  The eigenvalues of rho(c) are powers
+    lambda^k in F_{p^2}, where lambda has order p + 1, and lambda^k and
+    lambda^-k are Frobenius conjugates with equal multiplicity.  So
+    S = rho(c) + rho(c)^p, with rho(c)^p = rho(c)^-1, is semisimple with
+    eigenvalues tau_k = lambda^k + lambda^-k in F_p, distinct for
+    k = 0..(p+1)/2.  The non-split part is the multiplicity of tau_0 = 2
+    (eigenvalue 1 of rho(c)), of tau_{(p+1)/2} = -2 (eigenvalue -1), then
+    half that of tau_k for k = 1..(p-1)/2, in charpoly(S).
     """
     ctx = mod.field
     p, n = ctx.p, mod.dim
     arr = mod.arrays()
-
-    def factor_counts(M, factors):  # multiplicities in charpoly(M), in order
-        chi, counts = charpoly_array(M, p).tolist(), []
-        for g in factors:
-            k, chi = poly_multiplicity(chi, g, p)
-            counts.append(k)
-        return counts
-
-    split = factor_counts(arr["t"], [(-pow(ctx.zeta, a, p) % p, 1) for a in range(p - 1)])
+    zeta_powers = [pow(ctx.zeta, a, p) for a in range(p - 1)]
+    split = root_multiplicities(charpoly_array(arr["t"], p), zeta_powers, p)
     if sum(split) != n:
         raise InconsistencyError(f"rho(t) eigenspaces span {sum(split)} of {n} dimensions")
     a, tau = _nonsplit_traces(p)
     C = ctx.matmul(matpow_array(arr["u"], a, p), arr["w"])
-    if not np.array_equal(matpow_array(C, p + 1, p), np.eye(n, dtype=np.int64)):
+    Cp = matpow_array(C, p, p)
+    if not np.array_equal(ctx.matmul(Cp, C), np.eye(n, dtype=np.int64)):
         raise InconsistencyError(f"rho(c)^(p+1) != I for c = u^{a} w")
-    pairs = [(1, -tau[k] % p, 1) for k in range(1, (p + 1) // 2)]
-    nonsplit = factor_counts(C, [(p - 1, 1), (1, 1)] + pairs)
-    if nonsplit[0] + nonsplit[1] + 2 * sum(nonsplit[2:]) != n:
+    roots = [tau[0], tau[(p + 1) // 2]] + list(tau[1 : (p + 1) // 2])
+    nonsplit = root_multiplicities(charpoly_array((C + Cp) % p, p), roots, p)
+    if sum(nonsplit) != n:
         raise InconsistencyError(f"rho(c) eigenspaces do not span {n} dimensions")
-    return tuple(split + nonsplit)
+    if any(k % 2 for k in nonsplit[2:]):
+        raise InconsistencyError("rho(c) eigenvalues lambda^k and lambda^-k differ in multiplicity")
+    return tuple(split + nonsplit[:2] + [k // 2 for k in nonsplit[2:]])
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 from drinfeld.ff import (
     FieldCtx,
     FqMatrix,
+    _charpoly,
     _poly_rem,
     charpoly_array,
     inv,
@@ -17,14 +18,14 @@ from drinfeld.ff import (
     kernel_array,
     kernel_basis,
     make_field,
-    poly_multiplicity,
     rank,
     rank_array,
     rank_of_power,
+    root_multiplicities,
     rref,
     rref_array,
 )
-from helpers import field, random_sl2
+from helpers import field, poly_multiplicity, random_sl2
 
 
 # -- construction ------------------------------------------------------------
@@ -576,6 +577,70 @@ def test_poly_multiplicity_counts_exact_divisions():
     assert poly_multiplicity(f, quad, 7) == (3, _poly_mul(lin, lin, 7))
     assert poly_multiplicity(f, [6, 1], 7) == (0, f)
     assert poly_multiplicity([1], [6, 1], 7) == (0, [1])
+
+
+def _linear_power(r, k, p):
+    """(x - r)^k mod p as a coefficient list, low degree first."""
+    out = [1]
+    for _ in range(k):
+        out = _poly_mul(out, [-r % p, 1], p)
+    return out
+
+
+def test_root_multiplicities_past_p():
+    # mod 7: (x - 1)^7 (x - 3)^9, both multiplicities >= p, where every
+    # ordinary derivative vanishes at the root: f^(j) = j! D^j f, and p | j!
+    # for j >= p
+    f = _poly_mul(_linear_power(1, 7, 7), _linear_power(3, 9, 7), 7)
+    assert root_multiplicities(f, [1, 3, 2, 6, 0], 7) == [7, 9, 0, 0, 0]
+
+
+def test_root_multiplicities_root_zero():
+    # x^3 (x - 2)^2 (x^2 + 1) mod 7: 0 counts the trailing zero coefficients
+    f = _poly_mul(_poly_mul(_linear_power(0, 3, 7), _linear_power(2, 2, 7), 7), [1, 0, 1], 7)
+    assert f[:4] == [0, 0, 0, 4]
+    assert root_multiplicities(f, [0, 2, 5], 7) == [3, 2, 0]
+
+
+def test_root_multiplicities_absent_roots_and_constants():
+    # x^2 + 1 has no root mod 7, and a nonzero constant has none anywhere
+    assert root_multiplicities([1, 0, 1], range(7), 7) == [0] * 7
+    assert root_multiplicities([1], [0, 1, 2], 5) == [0, 0, 0]
+    assert root_multiplicities([3], [0, 4], 5) == [0, 0]
+    with pytest.raises(ValueError, match="nonzero leading"):
+        root_multiplicities([1, 2, 0], [1], 5)
+
+
+@st.composite
+def factored_polys(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    roots = draw(st.lists(st.integers(0, p - 1), max_size=2 * p + 3))
+    f = draw(st.lists(st.integers(0, p - 1), max_size=4)) + [draw(st.integers(1, p - 1))]
+    for r in roots:
+        f = _poly_mul(f, [-r % p, 1], p)
+    return p, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_polys())
+def test_root_multiplicities_match_repeated_division(data):
+    p, f = data
+    want = [poly_multiplicity(f, [-r % p, 1], p)[0] for r in range(p)]
+    assert root_multiplicities(f, range(p), p) == want
+
+
+def test_charpoly_exact_up_to_the_int64_bound():
+    # at p = 2^31 - 1, n * (p-1)^2 + p < 2^63 holds at n = 2 and fails at 3;
+    # built directly, as make_field would search a primitive root of p
+    p = 2**31 - 1
+    ctx = FieldCtx(p, 1, (0, 1), 7)
+    rng = np.random.default_rng(11)
+    for A in (np.full((2, 2), p - 1), rng.integers(p - 10**6, p, (2, 2))):
+        (a, b), (c, d) = A.tolist()
+        want = [(a * d - b * c) % p, -(a + d) % p, 1]
+        assert _charpoly(ctx, A.copy()).tolist() == want
+    with pytest.raises(ValueError, match=r"3 \* \(2147483647-1\)\^2 \+ 2147483647 >= 2\^63"):
+        _charpoly(ctx, np.full((3, 3), p - 1))
 
 
 def test_charpoly_rejects_non_square():

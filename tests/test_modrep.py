@@ -42,7 +42,7 @@ from drinfeld.modrep import (
     uab_module,
     w_gen,
 )
-from helpers import bdec, field, h0, h0_b_oracle, h0_factors_oracle, verify_report
+from helpers import bdec, division_brauer_counts, field, h0, h0_b_oracle, h0_factors_oracle, verify_report
 
 
 # -- group enumeration ---------------------------------------------------------
@@ -874,6 +874,58 @@ def test_brauer_rejects_c_of_wrong_order(monkeypatch):
     monkeypatch.setattr(modrep, "_nonsplit_traces", lambda p: (0, tau))
     with pytest.raises(InconsistencyError, match=r"rho\(c\)\^\(p\+1\) != I for c = u\^0 w"):
         modrep._brauer_counts(simple_module(2, 5))
+
+
+def _assert_counts_match_references(mod):
+    got = modrep._brauer_counts(mod)
+    assert got == division_brauer_counts(mod)
+    assert got == _rank_brauer_counts(mod)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_brauer_counts_match_references_on_h0_blocks(p):
+    for m in range(2, 7):
+        for mod in h0_blocks(p, m).values():
+            _assert_counts_match_references(mod)
+
+
+def test_brauer_counts_match_references_on_simples():
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for t in range(1, p + 1):
+            _assert_counts_match_references(simple_module(t, p))
+
+
+def test_brauer_counts_match_references_on_induced_modules():
+    for a in range(10):
+        for b in range(1, 11):
+            _assert_counts_match_references(induce_to_g(uab_module(a, b, 11)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_brauer_counts_match_references_on_direct_sums(data):
+    p = data.draw(st.sampled_from([5, 7]))
+    simple = st.builds(simple_module, st.integers(1, p), st.just(p))
+    induced = st.builds(
+        lambda a, b: induce_to_g(uab_module(a, b, p)), st.integers(0, p - 2), st.integers(1, p - 1)
+    )
+    parts = data.draw(st.lists(st.one_of(simple, induced), min_size=1, max_size=4))
+    _assert_counts_match_references(functools.reduce(direct_sum, parts))
+
+
+def test_brauer_rejects_tampered_nonsplit_traces(monkeypatch):
+    # zeta + 1/zeta = 0 is a trace of the split torus at p = 5, so
+    # S = rho(c) + rho(c)^p has no such eigenvalue: with it in place of
+    # tau_1, the lambda^{+-1} eigenvectors of V_2 go uncounted
+    mod = simple_module(2, 5)
+    assert modrep._brauer_counts(mod) == (0, 1, 0, 1, 0, 0, 1, 0)  # tau_1 is index 6
+    a, tau = modrep._nonsplit_traces(5)
+    zeta = mod.field.zeta
+    bad = (zeta + pow(zeta, -1, 5)) % 5
+    assert bad not in tau
+    monkeypatch.setattr(modrep, "_nonsplit_traces", lambda p: (a, (tau[0], bad) + tau[2:]))
+    with pytest.raises(InconsistencyError, match=r"rho\(c\) eigenspaces do not span 2 dimensions"):
+        modrep._brauer_counts(mod)
 
 
 def _outcome(f):
