@@ -96,9 +96,6 @@ class BDecomposition:
     def total_dim(self):
         return sum(n * lab.b for lab, n in self.mult.items())
 
-    def sorted_items(self):
-        return sorted(self.mult.items(), key=lambda kv: (kv[0].b, kv[0].a))
-
     def validate(self):
         p = self.p
         for lab, n in self.mult.items():
@@ -450,9 +447,6 @@ class GDecomposition:
     nonproj: dict  # BLabel -> multiplicity (b <= p-1)
     proj: dict  # t -> multiplicity
     factors: dict  # t -> d_t
-
-    def sorted_nonproj(self):
-        return sorted(self.nonproj.items(), key=lambda kv: (kv[0].b, kv[0].a))
 
     def total_dim(self):
         p = self.p

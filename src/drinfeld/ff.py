@@ -516,18 +516,23 @@ def _inv(ctx, A):
 
 
 def _matpow(ctx, A, k):
+    # bit_length(k) - 1 squarings and popcount(k) - 1 products, none by I;
+    # k = 1 returns A itself, so callers pass an array no one writes to
     n, m = A.shape
     if n != m:
         raise ValueError("matrix must be square")
     if k < 0:
         raise ValueError("negative powers not supported here")
-    result = np.eye(n, dtype=np.int64)
-    while k:
+    if k == 0:
+        return np.eye(n, dtype=np.int64)
+    result = None
+    while True:
         if k & 1:
-            result = ctx.matmul(result, A)
-        A = ctx.matmul(A, A)
+            result = A if result is None else ctx.matmul(result, A)
         k >>= 1
-    return result
+        if not k:
+            return result
+        A = ctx.matmul(A, A)
 
 
 def _charpoly(ctx, H):

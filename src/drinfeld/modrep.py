@@ -11,14 +11,15 @@ L = log rho(u) on the torus weight spaces V_c = ker(rho(t) - zeta^c); L and
 not rho(u) - I, because only the logarithm moves every weight by exactly -2.
 The split runs in one basis of weight vectors.  rho(t) scales each monomial,
 so on every H0 block, as on U_{a,b}, V_t and their sums, it is diagonal and
-that basis is a permutation of the given one; any other rho(t) gets its
-weight spaces from DFT projectors of its powers.  There L is read off the
-part N_1 of rho(u) - I that lowers weights by 2, as N_1 - N_1^h / h! with
-h = (p+1)/2, and one stack of its powers checks L^p = 0 and exp(L) = rho(u),
-which hold exactly when log rho(u) has weight -2.  The chains are taken from
-the top down, longest first, with two eliminations per chain length, so the
-pivots number n plus the chain count instead of sum_k rank(L^k).  U_{a,b} is
-built in a weight basis too, (log u)^k, where rho(t) is diagonal.
+that basis is a permutation of the given one, applied by reindexing; any
+other rho(t) gets its weight spaces by their definition, as kernels, and one
+change of basis.  There L is read off the part N_1 of rho(u) - I that
+lowers weights by 2, as N_1 - N_1^h / h! with h = (p+1)/2, and one stack of
+its powers checks L^p = 0 and exp(L) = rho(u), which hold exactly when
+log rho(u) has weight -2.  The chains are taken from the top down, longest
+first, with two eliminations per chain length, so the pivots number n plus
+the chain count instead of sum_k rank(L^k).  U_{a,b} is built in a weight
+basis too, (log u)^k, where rho(t) is diagonal.
 Induction is realized through an explicit coset transversal: its coset
 bookkeeping depends on the field and the transversal alone, so it is a table
 built once per pair, and each generator's p + 1 blocks come from one
@@ -289,11 +290,21 @@ def simple_module(t, p):
     ctx = make_field(p)
     if not 1 <= t <= p:
         raise ValueError(f"t must lie in [1, {p}], got {t}")
-    gens = {
-        name: FqMatrix(ctx, linear_form_powers(g, t - 1)[-1])
+    return _simple_modules(ctx, t)[-1]
+
+
+def _simple_modules(ctx, top):
+    """V_1 .. V_top, validated, from one linear_form_powers(g, top - 1) per
+    generator: its entry d is rho(g) on V_(d+1).  The simples share those
+    arrays, about top^3 / 3 residues per generator."""
+    powers = {
+        name: linear_form_powers(g, top - 1)
         for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx)))
     }
-    return ModuleRep(ctx, t, gens).validate()
+    return [
+        ModuleRep(ctx, t, {name: FqMatrix(ctx, powers[name][t - 1]) for name in powers}).validate()
+        for t in range(1, top + 1)
+    ]
 
 
 def uab_module(a, b, p):
@@ -361,45 +372,33 @@ def _power_stack(ctx, M, count):
     return out
 
 
-def _weight_basis(ctx, T):
-    """The weight basis of rho(t) = T: (P, Q, weight) with Q = P^-1 and
-    P T Q the diagonal zeta^weight, weights ascending.
+def _weight_basis(ctx, T, X):
+    """X in the weight basis P of rho(t) = T: (P X P^-1, weight), where the
+    rows of P are weight vectors, v T = zeta^weight v, weights ascending.
 
     A diagonal T is one already: P is the stable permutation that sorts its
-    diagonal by discrete log, and a zero there leaves no weight basis.
-    Otherwise rho(t)^(p-1) = I is asserted, so V_c is the row space of the
-    projector E_c = -sum_k zeta^(-ck) rho(t)^k; one product of the DFT
-    matrix with the stacked powers gives all p-1 of them.  Their rref bases,
-    stacked in order of c, form P; the pivot columns of the projectors,
-    stacked the same way, form P^-1, so no inverse is computed.  For a
-    diagonal T both routes give the same P.
+    diagonal by discrete log, so P X P^-1 is X reindexed, with no product;
+    a zero there leaves no weight basis.  Otherwise rho(t)^(p-1) = I is
+    asserted, and P stacks, in order of c, bases of the weight spaces
+    V_c = ker(T - zeta^c) by their definition.
     """
     p, n = ctx.p, T.shape[0]
     diag = np.diagonal(T)
     if np.array_equal(T, np.diag(diag)):
         if not diag.all():
             raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
-        logs = np.array([ctx.dlog(v) for v in diag.tolist()], dtype=np.int64)
+        logs = ctx._dlog[diag]
         order = np.argsort(logs, kind="stable")
-        P = np.eye(n, dtype=np.int64)[order]
-        return P, P.T, logs[order]
-    Tpow = _power_stack(ctx, T, p)  # rho(t)^0 .. rho(t)^(p-1)
-    if not np.array_equal(Tpow[p - 1], np.eye(n, dtype=np.int64)):
+        return X[np.ix_(order, order)], logs[order]
+    eye = np.eye(n, dtype=np.int64)
+    if not np.array_equal(matpow_array(T, p - 1, p), eye):
         raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
-    zpow = np.array([pow(ctx.zeta, e, p) for e in range(p - 1)])
-    exps = np.arange(p - 1)
-    dft = -zpow[-np.outer(exps, exps) % (p - 1)] % p  # dft[c, k] = -zeta^(-ck)
-    proj = ctx.matmul(dft, Tpow[: p - 1].reshape(p - 1, n * n)).reshape(p - 1, n, n)
-    spaces = [_row_space(E, p) for E in proj]
-    dims = [len(piv) for _, piv in spaces]
-    if sum(dims) != n:
-        raise InconsistencyError(f"rho(t) eigenspaces span {sum(dims)} of {n} dimensions")
-    P = np.vstack([V for V, _ in spaces])
-    # Every matrix is its pivot columns times its nonzero rref rows, so
-    # E_c = E_c[:, piv_c] R_c; and sum_c E_c = -(p-1) I = I.  So
-    # Q = [E_c[:, piv_c]]_c, stacked in the order of P, has Q P = I: Q = P^-1.
-    Q = np.hstack([E[:, piv] for E, (_, piv) in zip(proj, spaces)])
-    return P, Q, np.repeat(exps, dims)
+    spaces = [kernel_array((T - pow(ctx.zeta, c, p) * eye).T, p).T for c in range(p - 1)]
+    P = np.vstack(spaces)
+    if len(P) != n:
+        raise InconsistencyError(f"rho(t) eigenspaces span {len(P)} of {n} dimensions")
+    weight = np.repeat(np.arange(p - 1), [len(V) for V in spaces])
+    return ctx.matmul(ctx.matmul(P, X), inv_array(P, p)), weight
 
 
 def _weight_error(ctx, U, weight):
@@ -429,11 +428,12 @@ def decompose_b_oracle(mod):
     vectors from its top, of weight a + 2(b-1), down to its socle, of weight a.
 
     The work runs in one weight basis P (_weight_basis): a permutation when
-    rho(t) is diagonal, as on every H0 block, else the rows of the DFT
-    projectors.  There L is taken without a logarithm.  L^j moves weights by
-    -2j mod p-1, and N = sum_{1<=j<p} L^j / j!, so the part N_1 of N that maps
-    weight c to c - 2 is L + L^h / h! with h = (p+1)/2: j = 1 and j = h are
-    the only j < p with 2j = 2 mod p-1.  Every other term of N_1^h has
+    rho(t) is diagonal, as on every H0 block, so rho(u) is only reindexed,
+    else bases of the kernels of rho(t) - zeta^c.  There L is taken without a
+    logarithm.  L^j moves weights by -2j mod p-1, and N = sum_{1<=j<p} L^j / j!,
+    so the part N_1 of N that maps weight c to c - 2 is L + L^h / h! with
+    h = (p+1)/2: j = 1 and j = h are the only j < p with 2j = 2 mod p-1.
+    Every other term of N_1^h has
     L-degree at least 2h - 1 = p, so N_1^h = L^h and L = N_1 - N_1^h / h!.
     This L has weight -2 by construction, and it is log rho(u) exactly when
     L^p = 0 and exp(L) = sum_{j<p} L^j / j! = I + N, both checked on the one
@@ -464,8 +464,7 @@ def decompose_b_oracle(mod):
     eye = np.eye(n, dtype=np.int64)
     if not np.array_equal(matpow_array(arr["u"], p, p), eye):
         raise ValueError("rho(u) is not unipotent of order dividing p")
-    P, Q, weight = _weight_basis(ctx, arr["t"])
-    U = ctx.matmul(ctx.matmul(P, arr["u"]), Q)  # I + N in the weight basis
+    U, weight = _weight_basis(ctx, arr["t"], arr["u"])  # I + N in the weight basis
     down = weight[None, :] == (weight[:, None] - 2) % (p - 1)  # (c, c-2) entries
     N1 = np.where(down, (U - eye) % p, 0)
     h = (p + 1) // 2
@@ -554,7 +553,7 @@ def comp_factors_oracle(mod, force=False):
         )
     ctx = mod.field
     p = ctx.p
-    simples = {t: simple_module(t, p) for t in range(1, p + 1)}
+    simples = dict(enumerate(_simple_modules(ctx, p), 1))
     mult = Counter()
     cur = mod
     while cur.dim > 0:
@@ -648,7 +647,7 @@ def _brauer_counts(mod):
 @lru_cache(maxsize=None)
 def _count_solver(p):
     """_exact_solver of the count system of V_1..V_p: one column per simple."""
-    simples = [_brauer_counts(simple_module(t, p)) for t in range(1, p + 1)]
+    simples = [_brauer_counts(V) for V in _simple_modules(make_field(p), p)]
     return _exact_solver([list(row) for row in zip(*simples)])
 
 

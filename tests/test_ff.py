@@ -18,6 +18,7 @@ from drinfeld.ff import (
     kernel_array,
     kernel_basis,
     make_field,
+    matpow_array,
     rank,
     rank_array,
     rank_of_power,
@@ -259,6 +260,55 @@ def test_rank_of_power_requires_square():
     ctx = make_field(3)
     with pytest.raises(ValueError):
         rank_of_power(FqMatrix.zeros(ctx, 2, 3), 1)
+
+
+def test_matpow_makes_only_the_binary_powering_products(monkeypatch):
+    # bit_length(k) - 1 squarings and popcount(k) - 1 multiplications: no
+    # product by I and no squaring past the top bit
+    calls = []
+    matmul = FieldCtx.matmul
+
+    def counted(self, A, B):
+        calls.append(1)
+        return matmul(self, A, B)
+
+    monkeypatch.setattr(FieldCtx, "matmul", counted)
+    A = np.arange(9).reshape(3, 3) % 7
+    for k, want in [(0, 0), (1, 0), (2, 1), (3, 2), (7, 4), (8, 3), (13, 5)]:
+        calls.clear()
+        matpow_array(A, k, 7)
+        assert len(calls) == want, k
+    eye = matpow_array(A, 0, 7)
+    assert np.array_equal(eye, np.eye(3, dtype=np.int64)) and eye.flags.writeable
+
+
+def test_matpow_matches_repeated_products():
+    rng = np.random.default_rng(20261019)
+    for p in (3, 7):
+        ctx = make_field(p)
+        A = rng.integers(0, p, size=(4, 4))
+        want = np.eye(4, dtype=np.int64)
+        for k in range(21):
+            assert np.array_equal(matpow_array(A, k, p), want), (p, k)
+            want = ctx.matmul(want, A)
+    ctx = make_field(3, 2)
+    M = FqMatrix(ctx, rng.integers(0, 9, size=(3, 3)))
+    want = FqMatrix.identity(ctx, 3)
+    for k in range(21):
+        assert M**k == want, k
+        want = want @ M
+
+
+def test_matpow_hands_back_no_writable_alias():
+    ctx = make_field(5)
+    A = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    B = matpow_array(A, 1, 5)
+    assert not np.shares_memory(A, B)  # a copy of the input, the caller's own
+    B[0, 0] = 0
+    assert A[0, 0] == 1
+    M = FqMatrix(ctx, A)
+    assert not (M**1).data.flags.writeable
+    assert M**1 == M
 
 
 def test_fqmatrix_matmul_matches_elementwise_r2():

@@ -10,8 +10,16 @@ from hypothesis import strategies as st
 
 from drinfeld import cli, modrep
 from drinfeld.closedform import BLabel, InconsistencyError
-from drinfeld.curve import BasisSet, GroupElement, action_matrix, enumerate_basis, graded_basis
+from drinfeld.curve import (
+    BasisSet,
+    GroupElement,
+    action_matrix,
+    enumerate_basis,
+    graded_basis,
+    linear_form_powers,
+)
 from drinfeld.ff import (
+    FieldCtx,
     FqMatrix,
     inv_array,
     kernel_array,
@@ -107,6 +115,21 @@ def test_simple_module_range():
         simple_module(0, 5)
     with pytest.raises(ValueError):
         simple_module(6, 5)
+
+
+def test_simples_from_one_power_build_match_each_simple():
+    # V_1..V_p from one linear_form_powers(g, p - 1) per generator, byte for
+    # byte the matrices of simple_module(t, p) and of their definition
+    for p in (3, 5, 7, 11, 13):
+        ctx = field(p)
+        shared = modrep._simple_modules(ctx, p)
+        assert [V.dim for V in shared] == list(range(1, p + 1))
+        for t, V in enumerate(shared, 1):
+            alone = simple_module(t, p)
+            for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx))):
+                own = linear_form_powers(g, t - 1)[-1]
+                for X in (V.gens[name].data, alone.gens[name].data):
+                    assert X.dtype == own.dtype and X.tobytes() == own.tobytes(), (p, t, name)
 
 
 def test_uab_one_dimensional():
@@ -687,6 +710,58 @@ def test_b_oracle_weight_error_names_the_weight():
         decompose_b_oracle(ModuleRep(ctx, 2, gens))
 
 
+def _check_weight_basis(mod):
+    """_weight_basis(ctx, T, T) is diag(zeta^weight), weights ascending."""
+    ctx, p = mod.field, mod.field.p
+    T = mod.gens["t"].data
+    D, weight = modrep._weight_basis(ctx, T, T)
+    assert np.all(np.diff(weight) >= 0)
+    assert np.array_equal(D, np.diag([pow(ctx.zeta, int(c), p) for c in weight]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_weight_basis_diagonalizes_rho_t_on_hidden_sums(data):
+    _, mod = _draw_uab_sum(data, [3, 5, 7, 11])
+    _check_weight_basis(mod)
+    _check_weight_basis(_random_basis(data, mod))
+
+
+def test_weight_basis_diagonalizes_rho_t_on_restricted_induced_modules():
+    for p in (3, 5, 7, 11):
+        for a, b in [(0, 1), (1, 2), (p - 2, p - 1), (p - 2, p)]:
+            _check_weight_basis(restrict_to_b(induce_to_g(uab_module(a, b, p))))
+
+
+def test_weight_basis_makes_no_product_on_h0_blocks(monkeypatch):
+    # a diagonal rho(t) only reindexes rho(u); the product P rho(u) P^-1 by
+    # the permutation matrix P gives the same matrix
+    calls = []
+    matmul = FieldCtx.matmul
+
+    def counted(self, A, B):
+        calls.append(1)
+        return matmul(self, A, B)
+
+    for deg, mod in h0_blocks(7, 4).items():
+        ctx, arr = mod.field, mod.arrays()
+        monkeypatch.setattr(FieldCtx, "matmul", counted)
+        U, weight = modrep._weight_basis(ctx, arr["t"], arr["u"])
+        monkeypatch.undo()
+        assert not calls, deg
+        order = np.argsort([ctx.dlog(v) for v in np.diagonal(arr["t"])], kind="stable")
+        P = np.eye(mod.dim, dtype=np.int64)[order]
+        assert np.array_equal(U, ctx.matmul(ctx.matmul(P, arr["u"]), P.T)), deg
+
+
+def test_weight_basis_message_on_a_non_semisimple_torus():
+    ctx = field(5)
+    shear = FqMatrix(ctx, np.array([[1, 1], [0, 1]]))
+    msg = r"^rho\(t\)\^\(p-1\) != I, so its eigenspaces do not span 2 dimensions$"
+    with pytest.raises(InconsistencyError, match=msg):
+        decompose_b_oracle(ModuleRep(ctx, 2, {"u": FqMatrix.identity(ctx, 2), "t": shear}))
+
+
 def test_direct_sum_requires_matching_structure():
     with pytest.raises(ValueError):
         direct_sum(uab_module(0, 1, 3), uab_module(0, 1, 5))
@@ -1080,6 +1155,18 @@ def test_mackey_restriction_of_induced_character():
         ind = induce_to_g(uab_module(a, 1, p))
         dec = decompose_b_oracle(restrict_to_b(ind))
         assert dec == {BLabel(a, 1): 1, BLabel(a, p): 1}
+
+
+def test_mackey_restriction_of_induced_uab_grid():
+    # Res_B Ind_B^G U_{a,b} = U_{a,b} + sum_{k<b} U_{-(a+2k), p} for every
+    # b < p; rho(t) of the induced module is not diagonal
+    for p in (3, 5, 7, 11):
+        for a in range(p - 1):
+            for b in range(1, p):
+                want = Counter({BLabel(a, b): 1})
+                want.update(BLabel(-(a + 2 * k) % (p - 1), p) for k in range(b))
+                got = decompose_b_oracle(restrict_to_b(induce_to_g(uab_module(a, b, p))))
+                assert got == dict(want), (p, a, b)
 
 
 def test_induce_transversal_invariance():
