@@ -13,13 +13,13 @@ The split runs in one basis of weight vectors.  rho(t) scales each monomial,
 so on every H0 block, as on U_{a,b}, V_t and their sums, it is diagonal and
 that basis is a permutation of the given one, applied by reindexing; any
 other rho(t) gets its weight spaces by their definition, as kernels, and one
-change of basis.  There L is read off the part N_1 of rho(u) - I that
-lowers weights by 2, as N_1 - N_1^h / h! with h = (p+1)/2, and one stack of
-its powers checks L^p = 0 and exp(L) = rho(u), which hold exactly when
-log rho(u) has weight -2.  The chains are taken from the top down, longest
-first, with two eliminations per chain length, so the pivots number n plus
-the chain count instead of sum_k rank(L^k).  U_{a,b} is built in a weight
-basis too, (log u)^k, where rho(t) is diagonal.
+change of basis whose span decides rho(t)^(p-1) = I.  There L is read off
+the part N_1 of rho(u) - I that lowers weights by 2, as N_1 - N_1^h / h!
+with h = (p+1)/2, and one stack of its powers checks L^p = 0 and
+exp(L) = rho(u): they hold exactly when log rho(u) has weight -2, and imply
+rho(u)^p = I.  The chains are taken from the top down, longest first, with
+two eliminations per chain length, so the pivots number n plus the chain
+count instead of sum_k rank(L^k).  U_{a,b} is built in its weight basis too.
 Induction is realized through an explicit coset transversal: its coset
 bookkeeping depends on the field and the transversal alone, so it is a table
 built once per pair, and each generator's p + 1 blocks come from one
@@ -378,9 +378,9 @@ def _weight_basis(ctx, T, X):
 
     A diagonal T is one already: P is the stable permutation that sorts its
     diagonal by discrete log, so P X P^-1 is X reindexed, with no product;
-    a zero there leaves no weight basis.  Otherwise rho(t)^(p-1) = I is
-    asserted, and P stacks, in order of c, bases of the weight spaces
-    V_c = ker(T - zeta^c) by their definition.
+    a zero there leaves no weight basis.  Otherwise P stacks, in order of c,
+    bases of the weight spaces V_c = ker(T - zeta^c), which span n dimensions
+    exactly when T^(p-1) = I, as x^(p-1) - 1 has simple roots, the zeta^c.
     """
     p, n = ctx.p, T.shape[0]
     diag = np.diagonal(T)
@@ -391,24 +391,25 @@ def _weight_basis(ctx, T, X):
         order = np.argsort(logs, kind="stable")
         return X[np.ix_(order, order)], logs[order]
     eye = np.eye(n, dtype=np.int64)
-    if not np.array_equal(matpow_array(T, p - 1, p), eye):
-        raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
-    spaces = [kernel_array((T - pow(ctx.zeta, c, p) * eye).T, p).T for c in range(p - 1)]
+    spaces = [kernel_array((T - z * eye).T, p).T for z in ctx._zeta_powers]
     P = np.vstack(spaces)
     if len(P) != n:
-        raise InconsistencyError(f"rho(t) eigenspaces span {len(P)} of {n} dimensions")
+        raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
     weight = np.repeat(np.arange(p - 1), [len(V) for V in spaces])
     return ctx.matmul(ctx.matmul(P, X), inv_array(P, p)), weight
 
 
 def _weight_error(ctx, U, weight):
-    """The error for a unipotent U = P rho(u) Q whose logarithm is not of
-    weight -2: log U = sum_{k<p} (-1)^(k+1) N^k / k with N = U - I, formed
-    densely, names the first weight c that it does not map to c - 2."""
+    """The error for U = rho(u) in the weight basis that fails the exp and
+    L^p checks: U^p = I + N^p with N = U - I, so N^p != 0 means rho(u) is not
+    unipotent; else log U = sum_{k<p} (-1)^(k+1) N^k / k, formed densely,
+    names the first weight c that it does not map to c - 2."""
     p, n = ctx.p, U.shape[0]
-    Npow = _power_stack(ctx, (U - np.eye(n, dtype=np.int64)) % p, p)  # N^0 .. N^(p-1)
+    Npow = _power_stack(ctx, (U - np.eye(n, dtype=np.int64)) % p, p + 1)  # N^0 .. N^p
+    if Npow[p].any():
+        return ValueError("rho(u) is not unipotent of order dividing p")
     log_coef = [[pow((-1) ** (k + 1) * k, -1, p) for k in range(1, p)]]
-    L = ctx.matmul(log_coef, Npow[1:].reshape(p - 1, n * n)).reshape(n, n)
+    L = ctx.matmul(log_coef, Npow[1:p].reshape(p - 1, n * n)).reshape(n, n)
     off = (L != 0) & (weight[None, :] != (weight[:, None] - 2) % (p - 1))
     bad = off.any(axis=1).nonzero()[0]
     assert bad.size, "a log of weight -2 passes the exp and L^p checks"
@@ -419,7 +420,7 @@ def _weight_error(ctx, U, weight):
 def decompose_b_oracle(mod):
     """Split a B-module into uniserial summands U_{a,b} by pure matrix work.
 
-    rho(u)^p = I must hold, so N = rho(u) - I has N^p = 0.  L = log rho(u) =
+    When rho(u)^p = I, N = rho(u) - I has N^p = 0.  L = log rho(u) =
     sum_{k<p} (-1)^(k+1) N^k / k has the same kernels and images as N and its
     powers, and it is weight-homogeneous: rho(t) L = zeta^2 L rho(t), so L
     maps the weight space V_c = ker(rho(t) - zeta^c) into V_{c-2}.  N itself
@@ -438,8 +439,9 @@ def decompose_b_oracle(mod):
     This L has weight -2 by construction, and it is log rho(u) exactly when
     L^p = 0 and exp(L) = sum_{j<p} L^j / j! = I + N, both checked on the one
     stack of its powers; so the two checks hold exactly when log rho(u) has
-    weight -2.  When they fail, log rho(u) is formed densely to name the first
-    weight it does not lower by 2.
+    weight -2.  They imply rho(u)^p = I: exp(L)^p = I + (exp(L) - I)^p, and
+    exp(L) - I is L times a polynomial in L.  When they fail, _weight_error
+    tells whether rho(u) is unipotent and names the first bad weight.
 
     The chains are then taken from the top down, for s = p, ..., 1.  W, the
     span of the chains found so far, is a graded submodule, and L^s = 0 on M/W
@@ -462,9 +464,7 @@ def decompose_b_oracle(mod):
     p, n = ctx.p, mod.dim
     arr = mod.arrays()
     eye = np.eye(n, dtype=np.int64)
-    if not np.array_equal(matpow_array(arr["u"], p, p), eye):
-        raise ValueError("rho(u) is not unipotent of order dividing p")
-    U, weight = _weight_basis(ctx, arr["t"], arr["u"])  # I + N in the weight basis
+    U, weight = _weight_basis(ctx, arr["t"], arr["u"])  # rho(u) in the weight basis
     down = weight[None, :] == (weight[:, None] - 2) % (p - 1)  # (c, c-2) entries
     N1 = np.where(down, (U - eye) % p, 0)
     h = (p + 1) // 2
@@ -626,8 +626,7 @@ def _brauer_counts(mod):
     ctx = mod.field
     p, n = ctx.p, mod.dim
     arr = mod.arrays()
-    zeta_powers = [pow(ctx.zeta, a, p) for a in range(p - 1)]
-    split = root_multiplicities(charpoly_array(arr["t"], p), zeta_powers, p)
+    split = root_multiplicities(charpoly_array(arr["t"], p), ctx._zeta_powers, p)
     if sum(split) != n:
         raise InconsistencyError(f"rho(t) eigenspaces span {sum(split)} of {n} dimensions")
     a, tau = _nonsplit_traces(p)

@@ -762,6 +762,66 @@ def test_weight_basis_message_on_a_non_semisimple_torus():
         decompose_b_oracle(ModuleRep(ctx, 2, {"u": FqMatrix.identity(ctx, 2), "t": shear}))
 
 
+def test_b_oracle_takes_one_matrix_power_on_h0_blocks(monkeypatch):
+    # N_1^h is the only power: rho(u)^p = I follows from the exp and L^p
+    # checks, and a diagonal rho(t) needs no power either
+    calls = []
+
+    def counted(A, k, p):
+        calls.append(k)
+        return matpow_array(A, k, p)
+
+    for p, m in [(11, 4), (31, 3)]:
+        blocks = h0_blocks(p, m)
+        monkeypatch.setattr(modrep, "matpow_array", counted)
+        for deg, mod in blocks.items():
+            calls.clear()
+            decompose_b_oracle(restrict_to_b(mod))
+            assert calls == [(p + 1) // 2], (p, m, deg, calls)
+        monkeypatch.undo()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_b_oracle_rejects_a_scaled_unipotent(data):
+    # (lambda rho(u))^p = lambda rho(u)^p = lambda I: the exp and L^p checks
+    # fail, and the N^p of the error path names the fault as the reference does
+    _, mod = _draw_uab_sum(data, [3, 5, 7, 11])
+    ctx, p = mod.field, mod.field.p
+    lam = data.draw(st.integers(2, p - 1))
+    scaled = ModuleRep(ctx, mod.dim, {"u": FqMatrix(ctx, lam * mod.gens["u"].data % p), "t": mod.gens["t"]})
+    if data.draw(st.booleans()):
+        scaled = _random_basis(data, scaled)
+    msg = r"^rho\(u\) is not unipotent of order dividing p$"
+    with pytest.raises(ValueError, match=msg):
+        decompose_b_oracle(scaled)
+    with pytest.raises(ValueError, match=msg):
+        _kernel_chain_b_labels(scaled)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_b_oracle_rejects_a_hidden_jordan_block_torus_without_a_power(data):
+    # rho(t) with a 2x2 Jordan block is not diagonalizable in any basis, so
+    # its weight spaces span fewer than n dimensions; that span is the check
+    _, mod = _draw_uab_sum(data, [3, 5, 7, 11])
+    ctx, p, n = mod.field, mod.field.p, mod.dim
+    weights = data.draw(st.lists(st.integers(0, p - 2), min_size=n, max_size=n))
+    weights[1] = weights[0]
+    T = np.diag([pow(ctx.zeta, e, p) for e in weights])
+    T[0, 1] = 1
+    hidden = _random_basis(data, ModuleRep(ctx, n, {"u": mod.gens["u"], "t": FqMatrix(ctx, T)}))
+    msg = rf"^rho\(t\)\^\(p-1\) != I, so its eigenspaces do not span {n} dimensions$"
+
+    def fail(*args):
+        raise AssertionError("_weight_basis must not take a power of rho(t)")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modrep, "matpow_array", fail)
+        with pytest.raises(InconsistencyError, match=msg):
+            decompose_b_oracle(hidden)
+
+
 def test_direct_sum_requires_matching_structure():
     with pytest.raises(ValueError):
         direct_sum(uab_module(0, 1, 3), uab_module(0, 1, 5))
