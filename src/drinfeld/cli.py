@@ -97,11 +97,10 @@ def _doc_decompose(config):
         if config.oracle:
             oracle = modrep.b_labels_by_block(blocks)
             doc["oracle"] = _summand_list(oracle)
-            diff = []
-            for lab in sorted(set(bdec.mult) | set(oracle), key=lambda l: (l.b, l.a)):
-                want, got = bdec.mult.get(lab, 0), oracle.get(lab, 0)
-                if want != got:
-                    diff.append({"a": lab.a, "b": lab.b, "closed": want, "oracle": got})
+            diff = [
+                {"a": lab.a, "b": lab.b, "closed": want, "oracle": got}
+                for lab, got, want in modrep.table_divergences(oracle, bdec.mult)
+            ]
             doc["diff"] = diff
             status = 1 if diff else 0
         return status, doc

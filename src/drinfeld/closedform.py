@@ -75,6 +75,11 @@ def _check_pm(m, p):
         raise ValueError(f"m must be an integer >= 2, got {m}")
 
 
+def _check_range(name, v, lo, hi):
+    if not lo <= v <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v}")
+
+
 class BLabel(NamedTuple):
     """Label of the uniserial B-module U_{a,b}: socle character a, dim b."""
 
@@ -118,8 +123,7 @@ class BDecomposition:
 def ell_values(j, m, p):
     """Residues in [0, p-2] of the two branch-point exponent invariants."""
     _check_pm(m, p)
-    if not 0 <= j <= p - 1:
-        raise ValueError(f"j must lie in [0, {p - 1}], got {j}")
+    _check_range("j", j, 0, p - 1)
     ell10 = (m * (p - 2)) % (p - 1)
     ell01 = (m - j - _ceil_div(2 * m + j, p)) % (p - 1)
     return ell10, ell01
@@ -128,32 +132,28 @@ def ell_values(j, m, p):
 def divisor_dj(j, m, p):
     """Coefficient of [0:1] in the ramification divisor D_j."""
     _check_pm(m, p)
-    if not 0 <= j <= p - 1:
-        raise ValueError(f"j must lie in [0, {p - 1}], got {j}")
+    _check_range("j", j, 0, p - 1)
     return m * (p + 1) - j - _ceil_div(2 * m + j, p)
 
 
 def divisor_ej(j, m, p):
     """Coefficient pair at ([1:0], [0:1]) of the divisor E_j."""
     _check_pm(m, p)
-    if not 0 <= j <= p - 1:
-        raise ValueError(f"j must lie in [0, {p - 1}], got {j}")
+    _check_range("j", j, 0, p - 1)
     return m * (p - 2), m - j - _ceil_div(2 * m + j, p)
 
 
 def count_nj(j, m, p):
     """Base count n_j of the j-th character block before the psi correction."""
     _check_pm(m, p)
-    if not 0 <= j <= p - 1:
-        raise ValueError(f"j must lie in [0, {p - 1}], got {j}")
+    _check_range("j", j, 0, p - 1)
     return 1 + m - _ceil_div(m, p - 1) + (m - j - _ceil_div(2 * m + j, p)) // (p - 1)
 
 
 def mu(a, i, point, p):
     """Indicator that the character theta^i restricts to S_a at the point."""
     _check_p(p)
-    if not 0 <= a <= p - 2:
-        raise ValueError(f"a must lie in [0, {p - 2}], got {a}")
+    _check_range("a", a, 0, p - 2)
     if point == POINT_10:
         return 1 if (a - i) % (p - 1) == 0 else 0
     if point == POINT_01:
@@ -164,8 +164,7 @@ def mu(a, i, point, p):
 def psi(a, j, m, p):
     """Correction term in {-1, 0, 1} applied to the block counts."""
     _check_pm(m, p)
-    if not 0 <= a <= p - 2:
-        raise ValueError(f"a must lie in [0, {p - 2}], got {a}")
+    _check_range("a", a, 0, p - 2)
     ell10, ell01 = ell_values(j, m, p)
     if a < ell01 + 1 and p - 1 - ell10 <= a <= p - 2:
         return 1
@@ -177,8 +176,7 @@ def psi(a, j, m, p):
 def sigma_b(b, m, p):
     """Indicator feeding the b-th multiplicity row."""
     _check_pm(m, p)
-    if not 1 <= b <= p - 1:
-        raise ValueError(f"b must lie in [1, {p - 1}], got {b}")
+    _check_range("b", b, 1, p - 1)
     _, ell01 = ell_values(b - 1, m, p)
     if (2 * m + b - 1) % p == 0:
         return 1 if ell01 in (0, 1) else 0
@@ -188,10 +186,8 @@ def sigma_b(b, m, p):
 def n_ab(a, b, m, p):
     """Multiplicity of U_{a,b} in the restriction of H0 to B."""
     _check_pm(m, p)
-    if not 0 <= a <= p - 2:
-        raise ValueError(f"a must lie in [0, {p - 2}], got {a}")
-    if not 1 <= b <= p:
-        raise ValueError(f"b must lie in [1, {p}], got {b}")
+    _check_range("a", a, 0, p - 2)
+    _check_range("b", b, 1, p)
     if b <= p - 1:
         return sigma_b(b, m, p) + psi(a, b - 1, m, p) - psi(a, b, m, p)
     value = (
@@ -328,12 +324,9 @@ def c_abt(a, b, t, p):
     """Multiplicity of the simple V_t among the composition factors of the
     Green correspondent V_{a,b}; zero for the projective simple t = p."""
     _check_p(p)
-    if not 0 <= a <= p - 2:
-        raise ValueError(f"a must lie in [0, {p - 2}], got {a}")
-    if not 1 <= b <= p - 1:
-        raise ValueError(f"b must lie in [1, {p - 1}], got {b}")
-    if not 1 <= t <= p:
-        raise ValueError(f"t must lie in [1, {p}], got {t}")
+    _check_range("a", a, 0, p - 2)
+    _check_range("b", b, 1, p - 1)
+    _check_range("t", t, 1, p)
     if t == p:
         return 0
     if (t - a) % 2 == 0:
@@ -386,8 +379,7 @@ def proj_cover_factors(t, p):
     entry V_0 simply drops out); V_p is its own cover.
     """
     _check_p(p)
-    if not 1 <= t <= p:
-        raise ValueError(f"t must lie in [1, {p}], got {t}")
+    _check_range("t", t, 1, p)
     out = {}
 
     def add(s, n=1):
@@ -495,8 +487,7 @@ def g_decomposition(m, p):
 def ind_sa_factors(a, p):
     """Simple labels of the two composition factors of Ind_B^G(S_a)."""
     _check_p(p)
-    if not 0 <= a <= p - 2:
-        raise ValueError(f"a must lie in [0, {p - 2}], got {a}")
+    _check_range("a", a, 0, p - 2)
     return a + 1, p - a
 
 

@@ -2,8 +2,11 @@
 
 Every table closedform produces is re-derived here from explicit generator
 matrices, with no shared formulas.  H0 is taken apart into its G-stable
-grading blocks (h0_blocks): verify_full and the decompose oracle validate and
-decompose each block and sum the results, and an error on a block names it.
+grading blocks (h0_blocks).  verify_full takes each block, in ascending
+degree, through the B-oracle and then its Brauer counts in one pass, so an
+error names the first failing block; the decompose oracle sums the B-oracle
+over the blocks the same way.  Oracle and closed form are compared by one
+function, table_divergences, which lists where the two tables differ.
 h0_blocks holds the oracle's one size guard, on an estimate of its work from
 dim H0 and p alone, so a point far too large is refused before any basis.
 A restriction to the Borel subgroup is split into graded Jordan chains of
@@ -56,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import closedform
-from .closedform import BLabel, InconsistencyError
+from .closedform import BLabel, InconsistencyError, _check_range
 from .curve import (
     BasisSet,
     GroupElement,
@@ -98,10 +101,10 @@ __all__ = [
     "hom_dim",
     "comp_factors_oracle",
     "comp_factors_brauer",
-    "comp_factors_by_block",
     "default_transversal",
     "induce_to_g",
     "cartan_check",
+    "table_divergences",
     "verify_full",
 ]
 
@@ -288,8 +291,7 @@ def simple_module(t, p):
     """The simple V_t: homogeneous degree t-1 polynomials, basis
     x^(t-1-k) y^k for k = 0..t-1."""
     ctx = make_field(p)
-    if not 1 <= t <= p:
-        raise ValueError(f"t must lie in [1, {p}], got {t}")
+    _check_range("t", t, 1, p)
     return _simple_modules(ctx, t)[-1]
 
 
@@ -315,10 +317,8 @@ def uab_module(a, b, p):
     to the socle span(e_{b-1}) of weight a.  rho(u) = exp(l) is the upper
     triangular Toeplitz matrix with entry 1/j! at (k, k+j)."""
     ctx = make_field(p)
-    if not 0 <= a <= p - 2:
-        raise ValueError(f"a must lie in [0, {p - 2}], got {a}")
-    if not 1 <= b <= p:
-        raise ValueError(f"b must lie in [1, {p}], got {b}")
+    _check_range("a", a, 0, p - 2)
+    _check_range("b", b, 1, p)
     U = np.zeros((b, b), dtype=np.int64)
     for j in range(b):
         U += pow(math.factorial(j), -1, p) * np.eye(b, k=j, dtype=np.int64)
@@ -666,17 +666,6 @@ def comp_factors_brauer(mod):
     return _factors_from_counts(_brauer_counts(mod), mod.field.p, mod.dim)
 
 
-def comp_factors_by_block(blocks):
-    """Composition factors of the direct sum of the blocks of h0_blocks, from
-    their summed Brauer counts."""
-    counts, dim = [], 0
-    for deg, mod in blocks.items():
-        with _naming_block(deg, mod):
-            counts.append(_brauer_counts(mod))
-        dim += mod.dim
-    return _factors_from_counts(tuple(map(sum, zip(*counts))), mod.field.p, dim)
-
-
 def default_transversal(ctx):
     """Canonical coset representatives of B\\G: the identity (coset of the
     point [0:1]) followed by w u^k for k = 0..p-1 (cosets [1:k])."""
@@ -839,8 +828,7 @@ def cartan_check(a, b, p):
     """Verify the factor table of one Green correspondent: oracle factors of
     Ind(U_{a,b}) minus the tabulated c_{a,b,t} must be a unique non-negative
     integer combination of projective-cover factor columns."""
-    if not 1 <= b <= p - 1:
-        raise ValueError(f"b must lie in [1, {p - 1}], got {b}")
+    _check_range("b", b, 1, p - 1)
     ell = comp_factors_brauer(induce_to_g(uab_module(a, b, p)))
     residual = [ell.mult[t] - closedform.c_abt(a, b, t, p) for t in range(1, p + 1)]
     x = _cartan_solver(p)(residual)
@@ -867,65 +855,61 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _first_divergence(got, want):
-    keys = sorted(set(got) | set(want), key=str)
-    for k in keys:
-        if got.get(k, 0) != want.get(k, 0):
-            return f"first divergence at {k}: oracle {got.get(k, 0)}, closed form {want.get(k, 0)}"
-    return "identical"
+def table_divergences(oracle, closed):
+    """(key, oracle value, closed-form value) for each key on which the two
+    tables differ, a missing key counting as 0: t ascending, BLabels by
+    (b, a), the order the outputs list them in."""
+    keys = sorted(set(oracle) | set(closed), key=lambda k: (k.b, k.a) if isinstance(k, BLabel) else k)
+    rows = ((k, oracle.get(k, 0), closed.get(k, 0)) for k in keys)
+    return [row for row in rows if row[1] != row[2]]
+
+
+def _compare(name, oracle, closed, agreed):
+    """The check that the oracle's table equals the closed form's: detail
+    agreed when it does, else the first key where they diverge."""
+    diff = table_divergences(oracle, closed)
+    if diff:
+        key, got, want = diff[0]
+        return CheckResult(name, False, f"first divergence at {key}: oracle {got}, closed form {want}")
+    return CheckResult(name, True, agreed)
 
 
 def verify_full(p, m, force=False):
-    """Run the four oracle-versus-closed-form checks for one (p, m), on the
-    grading blocks of h0_blocks: B-labels and Brauer counts are summed over
-    the blocks, and an oracle error names the block it arose in.  force=True
-    gets past the size guard of h0_blocks."""
+    """Run the four oracle-versus-closed-form checks for one (p, m), in one
+    pass over the grading blocks of h0_blocks: each block's B-labels, then its
+    Brauer counts, summed over the blocks, so an oracle error names the first
+    failing block in ascending degree.  force=True gets past the size guard
+    of h0_blocks."""
     blocks = h0_blocks(p, m, force=force)
     n = dim_h0(p, m)
-    checks = []
+    oracle_b, counts = Counter(), []
+    for deg, mod in blocks.items():
+        with _naming_block(deg, mod):
+            oracle_b.update(decompose_b_oracle(restrict_to_b(mod)))
+            counts.append(_brauer_counts(mod))
+    oracle_f = _factors_from_counts(tuple(map(sum, zip(*counts))), p, n)
 
-    oracle_b = b_labels_by_block(blocks)
-    closed_b = dict(closedform.b_decomposition(m, p).mult)
-    ok = oracle_b == closed_b
-    checks.append(
-        CheckResult(
-            "B-decomposition",
-            ok,
-            f"{len(closed_b)} summand labels match" if ok else _first_divergence(oracle_b, closed_b),
-        )
-    )
-
-    oracle_f = comp_factors_by_block(blocks)
-    closed_f = closedform.comp_factors_h0(m, p)
-    ok = oracle_f.mult == closed_f
-    checks.append(
-        CheckResult(
-            "composition factors",
-            ok,
-            f"d = {oracle_f.as_tuple()}" if ok else _first_divergence(oracle_f.mult, closed_f),
-        )
-    )
-
+    closed_b = closedform.b_decomposition(m, p).mult
     gdec = closedform.g_decomposition(m, p)
     total = gdec.total_dim()
-    ok = total == n
-    checks.append(
+    checks = [
+        _compare("B-decomposition", oracle_b, closed_b, f"{len(closed_b)} summand labels match"),
+        _compare(
+            "composition factors",
+            oracle_f.mult,
+            closedform.comp_factors_h0(m, p),
+            f"d = {oracle_f.as_tuple()}",
+        ),
         CheckResult(
             "G-decomposition dimension",
-            ok,
-            f"{total} == dim H0 = {n}" if ok else f"{total} != {n}",
-        )
-    )
-
-    implied = gdec.implied_factors()
-    ok = implied == oracle_f.mult
-    checks.append(
-        CheckResult(
+            total == n,
+            f"{total} == dim H0 = {n}" if total == n else f"{total} != {n}",
+        ),
+        _compare(
             "implied factors",
-            ok,
-            "claimed direct sum reproduces the oracle factors"
-            if ok
-            else _first_divergence(implied, oracle_f.mult),
-        )
-    )
+            oracle_f.mult,
+            gdec.implied_factors(),
+            "claimed direct sum reproduces the oracle factors",
+        ),
+    ]
     return VerifyReport(p, m, checks)

@@ -1191,6 +1191,61 @@ def test_oracle_errors_name_the_grading_block(monkeypatch):
         h0_blocks(5, 2)
 
 
+def test_verify_names_the_first_failing_block(monkeypatch):
+    # block 1 of (5, 2) with rho(w) = I fails only its Brauer counts, block 5
+    # with rho(t) = I its B-labels: one pass in ascending degree names block 1
+    blocks = dict(h0_blocks(5, 2))
+    ctx = field(5)
+    for deg, name in ((1, "w"), (5, "t")):
+        mod = blocks[deg]
+        blocks[deg] = ModuleRep(ctx, mod.dim, dict(mod.gens, **{name: FqMatrix.identity(ctx, mod.dim)}))
+    monkeypatch.setattr(modrep, "h0_blocks", lambda p, m, force=False: blocks)
+    with pytest.raises(
+        InconsistencyError, match=r"^grading block 1 \(dim 2\): rho\(c\)\^\(p\+1\) != I for c = u\^4 w"
+    ):
+        modrep.verify_full(5, 2)
+
+
+def test_verify_details_name_the_first_divergence(monkeypatch):
+    # the oracle misses U_{3,2} and U_{0,5} of (5, 2): labels go by (b, a)
+    real_b = modrep.decompose_b_oracle
+    missing = {BLabel(3, 2), BLabel(0, 5)}
+    monkeypatch.setattr(
+        modrep, "decompose_b_oracle", lambda mod: {k: n for k, n in real_b(mod).items() if k not in missing}
+    )
+    detail = modrep.verify_full(5, 2).checks[0].detail
+    assert detail == "first divergence at BLabel(a=3, b=2): oracle 0, closed form 1"
+    monkeypatch.undo()
+    # oracle factors off by one at t = 2 and t = 10 of (11, 2): t goes by value
+    real_f = modrep._factors_from_counts
+
+    def shifted(counts, p, dim):
+        mult = dict(real_f(counts, p, dim).mult)
+        mult[2] += 1
+        mult[10] += 1
+        return CompFactorVector(p, mult)
+
+    monkeypatch.setattr(modrep, "_factors_from_counts", shifted)
+    checks = {c.name: c.detail for c in modrep.verify_full(11, 2).checks}
+    assert checks["composition factors"] == "first divergence at 2: oracle 3, closed form 2"
+    assert checks["implied factors"] == "first divergence at 2: oracle 3, closed form 2"
+    monkeypatch.undo()
+    # the implied factors are the closed form's side of their check
+    gdec_cls = modrep.closedform.GDecomposition
+    real_i = gdec_cls.implied_factors
+
+    def implied_plus_one(self):
+        out = real_i(self)
+        out[2] += 1
+        return out
+
+    monkeypatch.setattr(gdec_cls, "implied_factors", implied_plus_one)
+    detail = modrep.verify_full(5, 2).checks[3].detail
+    assert detail == "first divergence at 2: oracle 2, closed form 3"
+    # a key missing from one table counts as 0 there
+    assert modrep.table_divergences({2: 1, 10: 3}, {1: 0, 10: 2}) == [(2, 1, 0), (10, 3, 2)]
+
+
 # -- induction ----------------------------------------------------------------------
 
 
