@@ -90,7 +90,7 @@ def _doc_decompose(config):
         raise ValueError("decompose requires r = 1 (tables exist only for q = p)")
     if config.group == "B":
         # h0_blocks first: its guard refuses a large point before the slower closed form
-        blocks = modrep.h0_blocks(config.p, config.m) if config.oracle else None
+        blocks = modrep.h0_blocks(config.p, config.m, force=config.force) if config.oracle else None
         bdec = closedform.b_decomposition(config.m, config.p)
         doc = {"summands": _summand_list(bdec.mult)}
         status = 0
@@ -320,13 +320,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, m_default=None):
+    def common(sp):
         sp.add_argument("--p", type=int, required=True, help="odd prime p")
         sp.add_argument("--r", type=int, default=1, help="extension degree (q = p^r)")
-        if m_default is None:
-            sp.add_argument("--m", type=int, required=True, help="tensor power m")
-        else:
-            sp.add_argument("--m", type=int, default=m_default)
+        sp.add_argument("--m", type=int, required=True, help="tensor power m")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
         sp.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -351,6 +348,7 @@ def build_parser():
         action="store_true",
         help="also run the matrix oracle and report a cellwise diff (group B)",
     )
+    sp.add_argument("--force", action="store_true", help="override size guards")
 
     common(sub.add_parser("factors", help="composition factor multiplicities d_t"))
 
@@ -359,8 +357,12 @@ def build_parser():
     sp.add_argument("--force", action="store_true", help="override size guards")
 
     sp = sub.add_parser("sweep", help="verify over a grid of (p, m) points")
-    sp.add_argument("--p-values", default="3,5,7", help="comma list of primes")
-    sp.add_argument("--m-values", default="2,3", help="comma list of tensor powers")
+    sp.add_argument(
+        "--p-values", default=",".join(map(str, DEFAULT_SWEEP_P)), help="comma list of primes"
+    )
+    sp.add_argument(
+        "--m-values", default=",".join(map(str, DEFAULT_SWEEP_M)), help="comma list of tensor powers"
+    )
     sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sp.add_argument("--out", help="write output to this path instead of stdout")
     sp.add_argument("--force", action="store_true", help="override size guards")

@@ -76,6 +76,8 @@ def _check_pm(m, p):
 
 
 def _check_range(name, v, lo, hi):
+    if not isinstance(v, int):
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {v!r}")
     if not lo <= v <= hi:
         raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v}")
 

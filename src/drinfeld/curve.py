@@ -14,11 +14,12 @@ while action matrices have entries in GF(q).
 The action preserves the grading (i + j) mod (q + 1), and the canonical order
 keeps each of its q + 1 blocks contiguous.  block_action_matrices builds one
 matrix per nonempty block, degree by degree from linear_form_powers (the
-images x^i y^j -> (alpha x + beta y)^i (gamma x + delta y)^j computed with
-FieldCtx array ops) and the stacked reductions of each block's monomials,
-which do not depend on the group element and are computed once per BasisSet
-(BasisSet.block_reductions); action_matrix is their block-diagonal assembly.
-The same powers give modrep's simple modules V_t = Sym^(t-1).
+images x^i y^j -> (alpha x + beta y)^i (gamma x + delta y)^j of the basis
+monomials only, computed with FieldCtx array ops) and the stacked reductions
+of each block's monomials, which do not depend on the group element and are
+computed once per BasisSet (BasisSet.block_reductions); action_matrix is
+their block-diagonal assembly.  Below degree q every monomial is a basis
+monomial, so the same powers give modrep's simple modules V_t = Sym^(t-1).
 """
 
 from __future__ import annotations
@@ -124,17 +125,16 @@ class BasisSet:
     def block_reductions(self):
         """The part of block_action_matrices that does not depend on the group
         element: for each nonempty grading block, (degree, size, parts), with
-        one part (d, rows, js, cols, red) per total degree d in the block.
-        rows are the block rows of total degree d and js the exponents j of
-        their monomials; red holds the block coordinates of the d + 1
-        monomials x^(d-k) y^k on the columns cols where one of them is
+        one part (d, rows, cols, red) per total degree d in the block.  rows
+        are the block rows of total degree d, in the order of
+        linear_form_powers' entry d; red holds the block coordinates of the
+        d + 1 monomials x^(d-k) y^k on the columns cols where one of them is
         nonzero.  Every monomial of total degree d reduces inside block
         d mod (q + 1), so each block is reduced with a memo of its own, which
         is dropped once its arrays are stacked.  Reduction coordinates are
         prime-subfield constants, whose packed form in GF(q) is the residue
         itself."""
-        ij = np.array(self.indices, dtype=np.int64)
-        total = ij.sum(axis=1)
+        total = np.array(self.indices, dtype=np.int64).sum(axis=1)
         small = np.min_scalar_type(self.p - 1)  # residues, kept in the least dtype
         out, lo = [], 0
         for deg, size in enumerate(graded_basis(self).sizes()):
@@ -145,7 +145,7 @@ class BasisSet:
                 rows = np.flatnonzero(total[lo : lo + size] == d)
                 red = np.stack([_reduce(d - k, k, self, memo, lo, size) for k in range(d + 1)])
                 cols = np.flatnonzero(red.any(axis=0))
-                parts.append((d, rows, ij[lo + rows, 1], cols, red[:, cols].astype(small)))
+                parts.append((d, rows, cols, red[:, cols].astype(small)))
             out.append((deg, size, tuple(parts)))
             lo += size
         return tuple(out)
@@ -263,20 +263,22 @@ class GroupElement:
 
 
 def linear_form_powers(sigma, top):
-    """Entry d (d = 0..top) is a (d + 1, d + 1) packed array whose row j holds
-    (alpha x + beta y)^(d-j) (gamma x + delta y)^j, column k its coefficient
-    of x^(d-k) y^k.  Rows 0..d of entry d + 1 are entry d times
-    (alpha x + beta y); its last row is the last row of entry d times
-    (gamma x + delta y)."""
+    """Entry d (d = 0..top) is a packed array with one row per basis monomial
+    x^(d-j) y^j of total degree d, in basis order: j = 0..min(d, q-1), then
+    j = d once d >= q.  That row holds (alpha x + beta y)^(d-j)
+    (gamma x + delta y)^j, column k its coefficient of x^(d-k) y^k.  The rows
+    of entry d + 1 are the first min(d, q-1) + 1 rows of entry d times
+    (alpha x + beta y), then the last row of entry d times (gamma x + delta y)."""
     ctx = sigma.ctx
     alpha, beta, gamma, delta = (e.val for e in sigma.entries())
     neg_beta, neg_delta = ctx.neg(np.array([beta, delta]))
     powers = [np.ones((1, 1), dtype=np.int64)]
     for d in range(1, top + 1):
-        prev = np.vstack([powers[-1], powers[-1][-1:]])
-        x_coeff = np.array([alpha] * d + [gamma])[:, None]
-        neg_y_coeff = np.array([neg_beta] * d + [neg_delta])[:, None]
-        nxt = np.zeros((d + 1, d + 1), dtype=np.int64)
+        prev = np.vstack([powers[-1][: ctx.q], powers[-1][-1:]])
+        rows = len(prev)
+        x_coeff = np.array([alpha] * (rows - 1) + [gamma])[:, None]
+        neg_y_coeff = np.array([neg_beta] * (rows - 1) + [neg_delta])[:, None]
+        nxt = np.zeros((rows, d + 1), dtype=np.int64)
         nxt[:, :d] = ctx.mul(x_coeff, prev)
         nxt[:, 1:] = ctx.submul(nxt[:, 1:], neg_y_coeff, prev)
         powers.append(nxt)
@@ -294,10 +296,10 @@ def block_action_matrices(sigma, basis):
     ascending degree; row k of a block holds the block coordinates of the
     image of its k-th basis vector, as in action_matrix.
 
-    The rows of total degree d are the linear-form powers of degree d times
-    the stacked reductions of the d + 1 monomials of that degree: one product
-    per total degree.  The reductions do not depend on sigma, so they come
-    from basis.block_reductions, computed once per basis.
+    The rows of total degree d are the linear-form powers of degree d, one
+    per basis monomial, times the stacked reductions of the d + 1 monomials
+    of that degree: one product per total degree.  The reductions do not
+    depend on sigma; basis.block_reductions computes them once per basis.
     """
     ctx = sigma.ctx
     if (ctx.p, ctx.r) != (basis.p, basis.r):
@@ -308,8 +310,8 @@ def block_action_matrices(sigma, basis):
     out = {}
     for deg, size, parts in basis.block_reductions:
         block = np.zeros((size, size), dtype=np.int64)
-        for d, rows, js, cols, red in parts:
-            block[np.ix_(rows, cols)] = ctx.matmul(powers[d][js], red)
+        for d, rows, cols, red in parts:
+            block[np.ix_(rows, cols)] = ctx.matmul(powers[d], red)
         out[deg] = FqMatrix(ctx, block)
     return out
 

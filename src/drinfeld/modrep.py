@@ -37,7 +37,8 @@ rho(c) + rho(c)^-1, whose eigenvalue tau_k pairs the Frobenius conjugates
 lambda^k, lambda^-k of rho(c).  ff.root_multiplicities reads all of them
 from Hasse derivatives with one product per operator and no polynomial
 division.  verify_full and cartan_check use them; the iterated-socle oracle
-comp_factors_oracle is kept as the small-size cross-check.  The Cartan
+comp_factors_oracle, whose socle quotients are reductions modulo the socle's
+rref rows, is kept as the small-size cross-check.  The Cartan
 system ties the correspondent factor tables back to oracle counts.  All
 arithmetic is exact: residues mod p in int64 arrays, every mod-p matrix
 product taken by FieldCtx.matmul (float64 BLAS under its asserted 2^53
@@ -355,6 +356,12 @@ def _row_space(A, p):
     return R[: len(piv)], piv
 
 
+def _reduce_rows(ctx, X, R, piv):
+    """The rows of X reduced modulo the row space of the rref rows R with
+    pivot columns piv: zero on piv, and zero in all when inside the span."""
+    return (X - ctx.matmul(X[:, piv], R)) % ctx.p
+
+
 def _power_stack(ctx, M, count):
     """M^0 .. M^(count-1) as one (count, n, n) array, by doubling: while
     the stack holds M^0 .. M^(j-1), one matmul of it by M^j adds M^j ..
@@ -478,27 +485,23 @@ def decompose_b_oracle(mod):
     # e_i off its pivots.  Reducing a weight vector mod W keeps it one, since
     # each row of W shares the weight of its pivot column.
     W, wpiv = np.zeros((0, n), dtype=np.int64), []
-
-    def mod_w(X):
-        return (X - ctx.matmul(X[:, wpiv], W)) % p
-
     found = Counter()  # (a, b) -> n_{a,b}
     for s in range(p, 0, -1):
         if len(wpiv) == n:
             break
         free = np.delete(np.arange(n), wpiv)
-        X = mod_w(Lpow[s - 1][free])
+        X = _reduce_rows(ctx, Lpow[s - 1][free], W, wpiv)
         if not X.any():
             continue
         # the tops: the rows of X that form a basis of (M/W) L^(s-1)
         tops = free[_row_space(X[:, free].T, p)[1]]
-        C, cpiv = _row_space(mod_w(Lpow[:s, tops].reshape(s * tops.size, n)), p)
+        C, cpiv = _row_space(_reduce_rows(ctx, Lpow[:s, tops].reshape(s * tops.size, n), W, wpiv), p)
         if len(cpiv) != s * tops.size:
             raise InconsistencyError(
                 f"the {tops.size} L-chains of length {s} span {len(cpiv)} "
                 f"of {s * tops.size} dimensions"
             )
-        W = np.vstack([(W - ctx.matmul(W[:, cpiv], C)) % p, C])  # rref again
+        W = np.vstack([_reduce_rows(ctx, W, C, cpiv), C])  # rref again
         wpiv += cpiv
         found.update((a, s) for a in ((weight[tops] - 2 * (s - 1)) % (p - 1)).tolist())
     out = {BLabel(a, b): found[a, b] for a, b in sorted(found, key=lambda ab: ab[::-1])}
@@ -573,19 +576,14 @@ def comp_factors_oracle(mod, force=False):
         mult.update(layer)
         if k == cur.dim:
             break
-        pivset = set(piv)
-        free = [c for c in range(cur.dim) if c not in pivset]
-        basis = np.zeros((cur.dim, cur.dim), dtype=np.int64)
-        basis[:k] = socle
-        for idx, c in enumerate(free):
-            basis[k + idx, c] = 1
-        binv = inv_array(basis, p)
+        # M / socle has the basis e_c, c off the pivots: row c of rho(g),
+        # reduced modulo the socle, holds the image of e_c on those columns
+        free = np.delete(np.arange(cur.dim), piv)
         gens = {}
         for name, mat in cur.gens.items():
-            full = ctx.matmul(ctx.matmul(basis, mat.data), binv)
-            if np.any(full[:k, k:]):
-                raise InconsistencyError("socle is not invariant; basis change failed")
-            gens[name] = FqMatrix(ctx, full[k:, k:])
+            if _reduce_rows(ctx, ctx.matmul(socle, mat.data), socle, piv).any():
+                raise InconsistencyError("socle is not invariant")
+            gens[name] = FqMatrix(ctx, _reduce_rows(ctx, mat.data[free], socle, piv)[:, free])
         cur = ModuleRep(ctx, cur.dim - k, gens)
     out = CompFactorVector(p, {t: mult.get(t, 0) for t in range(1, p + 1)})
     return out.validate(mod.dim)
@@ -894,12 +892,7 @@ def verify_full(p, m, force=False):
     total = gdec.total_dim()
     checks = [
         _compare("B-decomposition", oracle_b, closed_b, f"{len(closed_b)} summand labels match"),
-        _compare(
-            "composition factors",
-            oracle_f.mult,
-            closedform.comp_factors_h0(m, p),
-            f"d = {oracle_f.as_tuple()}",
-        ),
+        _compare("composition factors", oracle_f.mult, gdec.factors, f"d = {oracle_f.as_tuple()}"),
         CheckResult(
             "G-decomposition dimension",
             total == n,

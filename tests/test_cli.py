@@ -312,3 +312,10 @@ def test_run_config_defaults():
     buf = io.StringIO()
     assert run(RunConfig(command="factors", p=3, m=2), stream=buf) == 0
     assert buf.getvalue() == "d = [1,1,1]\n"
+
+
+def test_decompose_oracle_takes_force():
+    argv = ["decompose", "--p", "5", "--m", "2", "--oracle", "--format", "json"]
+    assert build_parser().parse_args(argv + ["--force"]).force
+    assert _capture(argv + ["--force"]) == _capture(argv)
+    assert _capture(argv)[0] == 0

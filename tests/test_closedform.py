@@ -409,3 +409,18 @@ def test_argument_range_errors():
         c_abt(0, 5, 1, 5)
     with pytest.raises(ValueError):
         ind_sa_factors(4, 5)
+
+
+def test_index_checks_refuse_non_integers():
+    calls = [
+        ("b", lambda: c_abt(0, 2.5, 1, 5)),
+        ("b", lambda: n_ab(0, 2.5, 2, 5)),
+        ("t", lambda: proj_cover_factors(2.5, 5)),
+        ("j", lambda: divisor_dj(2.5, 2, 5)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[\d+, \d+\], got 2\.5$"):
+            call()
+    # an integer out of range keeps its message
+    with pytest.raises(ValueError, match=r"^j must lie in \[0, 4\], got 5$"):
+        divisor_dj(5, 2, 5)

@@ -18,6 +18,7 @@ from drinfeld.curve import (
     enumerate_basis,
     genus,
     graded_basis,
+    linear_form_powers,
     reduce_to_basis,
 )
 from drinfeld.ff import FqMatrix
@@ -410,3 +411,27 @@ def test_block_reductions_are_computed_once_per_basis(monkeypatch):
     # a new basis reduces its monomials again
     block_action_matrices(u_gen(ctx), enumerate_basis(7, 3))
     assert calls
+
+
+def test_linear_form_powers_keep_only_basis_monomial_rows():
+    # entry d: one row per basis monomial x^(d-j) y^j, j <= min(d, q-1), then
+    # j = d once d >= q, each the expansion of (a x + b y)^(d-j) (c x + d y)^j
+    rng = random.Random(22)
+    for q, m in [(7, 3), (9, 6)]:
+        basis = enumerate_basis(q, m)
+        ctx = field(basis.p, basis.r)
+        sigma = random_sl2(ctx, rng)
+        top = basis.max_total
+        assert top >= q
+        powers = linear_form_powers(sigma, top)
+        assert len(powers) == top + 1
+        for d, rows in enumerate(powers):
+            js = list(range(min(d, q - 1) + 1)) + ([d] if d >= q else [])
+            assert rows.shape == (len(js), d + 1), (q, d)
+            assert len(js) == sum(ix.i + ix.j == d for ix in basis)
+            for row, j in zip(rows.tolist(), js):
+                poly = [ctx.one]  # coefficients of x^(e-k) y^k, k = 0..e
+                for a, b in [(sigma.alpha, sigma.beta)] * (d - j) + [(sigma.gamma, sigma.delta)] * j:
+                    shifted = [ctx.zero] + poly
+                    poly = [x + b * y for x, y in zip([a * c for c in poly] + [ctx.zero], shifted)]
+                assert row == [e.val for e in poly], (q, d, j)

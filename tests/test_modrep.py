@@ -1417,3 +1417,22 @@ def test_verify_full_small_grid():
         text = cli._verify_text(cli._report_dict(report))
         assert "[pass]" in text and "result: all checks passed" in text
         assert f"verify p={p} m={m}" in text
+
+
+def test_socle_quotients_need_no_inverse(monkeypatch):
+    # each quotient by the socle is read off rho(g) reduced modulo the socle's
+    # rref rows, with no completed basis to invert
+    def fail(*args):
+        raise AssertionError("comp_factors_oracle must not invert a basis")
+
+    mods = [h0(5, 2), induce_to_g(uab_module(1, 2, 5))]
+    monkeypatch.setattr(modrep, "inv_array", fail)
+    for mod in mods:
+        assert comp_factors_oracle(mod) == comp_factors_brauer(mod)
+
+
+def test_module_builders_refuse_non_integer_indices():
+    with pytest.raises(ValueError, match=r"^t must be an integer in \[1, 5\], got 2\.5$"):
+        simple_module(2.5, 5)
+    with pytest.raises(ValueError, match=r"^b must be an integer in \[1, 5\], got 2\.5$"):
+        uab_module(0, 2.5, 5)
