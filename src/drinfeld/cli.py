@@ -89,8 +89,11 @@ def _doc_decompose(config):
     if config.r != 1:
         raise ValueError("decompose requires r = 1 (tables exist only for q = p)")
     if config.group == "B":
-        # h0_blocks first: its guard refuses a large point before the slower closed form
-        blocks = modrep.h0_blocks(config.p, config.m, force=config.force) if config.oracle else None
+        # the oracle's (m, p) check and size guard first, before the slower
+        # closed form; its blocks are built, split and dropped one at a time
+        if config.oracle:
+            closedform._check_pm(config.m, config.p)
+            blocks = modrep.iter_h0_blocks(config.p, config.m, force=config.force)
         bdec = closedform.b_decomposition(config.m, config.p)
         doc = {"summands": _summand_list(bdec.mult)}
         status = 0

@@ -422,8 +422,9 @@ def proj_mults(m, p, alpha):
             )
         n[t] = int(total)
     # the multiplicities must reproduce alpha through the Cartan columns
+    covers = {s: proj_cover_factors(s, p) for s in n}
     for t in range(1, p + 1):
-        lhs = sum(n[s] * proj_cover_factors(s, p).get(t, 0) for s in range(1, p + 1))
+        lhs = sum(k * covers[s].get(t, 0) for s, k in n.items())
         if lhs != alpha[t]:
             raise InconsistencyError(
                 f"Cartan identity fails at t={t} for m={m}, p={p}: {lhs} != {alpha[t]}"

@@ -12,14 +12,16 @@ relation x*y^q = x^q*y + 1.  All coordinates live in GF(p) regardless of r,
 while action matrices have entries in GF(q).
 
 The action preserves the grading (i + j) mod (q + 1), and the canonical order
-keeps each of its q + 1 blocks contiguous.  block_action_matrices builds one
-matrix per nonempty block, degree by degree from linear_form_powers (the
-images x^i y^j -> (alpha x + beta y)^i (gamma x + delta y)^j of the basis
-monomials only, computed with FieldCtx array ops) and the stacked reductions
+keeps each of its q + 1 blocks contiguous.  action_blocks yields the blocks
+of several group elements one nonempty block at a time, degree by degree
+from linear_form_powers (the images x^i y^j -> (alpha x + beta y)^i
+(gamma x + delta y)^j of the basis monomials only, computed with FieldCtx
+array ops in int64 and held in the least dtype) and the stacked reductions
 of each block's monomials, which do not depend on the group element and are
-computed once per BasisSet (BasisSet.block_reductions); action_matrix is
-their block-diagonal assembly.  Below degree q every monomial is a basis
-monomial, so the same powers give modrep's simple modules V_t = Sym^(t-1).
+computed once per BasisSet (BasisSet.block_reductions); block_action_matrices
+and action_matrix are its views for one element.  Below degree q every
+monomial is a basis monomial, so the same powers give modrep's simple
+modules V_t = Sym^(t-1).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "reduce_to_basis",
     "linear_form_powers",
     "check_action_dim",
+    "action_blocks",
     "block_action_matrices",
     "action_matrix",
     "graded_basis",
@@ -123,7 +126,7 @@ class BasisSet:
 
     @cached_property
     def block_reductions(self):
-        """The part of block_action_matrices that does not depend on the group
+        """The part of action_blocks that does not depend on the group
         element: for each nonempty grading block, (degree, size, parts), with
         one part (d, rows, cols, red) per total degree d in the block.  rows
         are the block rows of total degree d, in the order of
@@ -291,29 +294,43 @@ def check_action_dim(n):
         raise ValueError(f"action matrix of dimension {n} exceeds {ACTION_MAX_CELLS} cells")
 
 
-def block_action_matrices(sigma, basis):
-    """Action of sigma on each nonempty grading block, {degree: FqMatrix} in
+def action_blocks(elements, basis):
+    """The action of each of several group elements, one grading block at a
+    time: (degree, [block of each element]) for each nonempty block in
     ascending degree; row k of a block holds the block coordinates of the
     image of its k-th basis vector, as in action_matrix.
 
     The rows of total degree d are the linear-form powers of degree d, one
     per basis monomial, times the stacked reductions of the d + 1 monomials
-    of that degree: one product per total degree.  The reductions do not
-    depend on sigma; basis.block_reductions computes them once per basis.
+    of that degree: one product per total degree.  One linear_form_powers per
+    element serves every block, held in the least dtype that holds q - 1
+    while the blocks are taken; the reductions do not depend on the element,
+    and basis.block_reductions computes them once per basis.
     """
-    ctx = sigma.ctx
-    if (ctx.p, ctx.r) != (basis.p, basis.r):
-        raise ValueError(
-            f"group element over GF({ctx.q}) does not match basis over GF({basis.q})"
-        )
-    powers = linear_form_powers(sigma, basis.max_total)
-    out = {}
+    for sigma in elements:
+        if (sigma.ctx.p, sigma.ctx.r) != (basis.p, basis.r):
+            raise ValueError(
+                f"group element over GF({sigma.ctx.q}) does not match basis over GF({basis.q})"
+            )
+    small = np.min_scalar_type(basis.q - 1)  # residues, kept in the least dtype
+    powers = [
+        [rows.astype(small) for rows in linear_form_powers(sigma, basis.max_total)]
+        for sigma in elements
+    ]
     for deg, size, parts in basis.block_reductions:
-        block = np.zeros((size, size), dtype=np.int64)
-        for d, rows, cols, red in parts:
-            block[np.ix_(rows, cols)] = ctx.matmul(powers[d], red)
-        out[deg] = FqMatrix(ctx, block)
-    return out
+        blocks = []
+        for sigma, pw in zip(elements, powers):
+            block = np.zeros((size, size), dtype=np.int64)
+            for d, rows, cols, red in parts:
+                block[np.ix_(rows, cols)] = sigma.ctx.matmul(pw[d], red)
+            blocks.append(FqMatrix(sigma.ctx, block))
+        yield deg, blocks
+
+
+def block_action_matrices(sigma, basis):
+    """Action of sigma on each nonempty grading block, {degree: FqMatrix} in
+    ascending degree: action_blocks for the one element."""
+    return {deg: block for deg, (block,) in action_blocks((sigma,), basis)}
 
 
 def action_matrix(sigma, basis):
@@ -321,13 +338,13 @@ def action_matrix(sigma, basis):
 
     Row k holds the basis coordinates of w_k . sigma, so composites satisfy
     M(sigma*tau) = M(sigma) @ M(tau).  It is the block-diagonal assembly of
-    block_action_matrices; blocks are contiguous in the canonical order.
+    action_blocks; blocks are contiguous in the canonical order.
     """
     n = len(basis)
     check_action_dim(n)
     out = np.zeros((n, n), dtype=np.int64)
     lo = 0
-    for block in block_action_matrices(sigma, basis).values():
+    for _, (block,) in action_blocks((sigma,), basis):
         hi = lo + block.rows
         out[lo:hi, lo:hi] = block.data
         lo = hi

@@ -2,13 +2,15 @@
 
 Every table closedform produces is re-derived here from explicit generator
 matrices, with no shared formulas.  H0 is taken apart into its G-stable
-grading blocks (h0_blocks).  verify_full takes each block, in ascending
-degree, through the B-oracle and then its Brauer counts in one pass, so an
-error names the first failing block; the decompose oracle sums the B-oracle
-over the blocks the same way.  Oracle and closed form are compared by one
-function, table_divergences, which lists where the two tables differ.
-h0_blocks holds the oracle's one size guard, on an estimate of its work from
-dim H0 and p alone, so a point far too large is refused before any basis.
+grading blocks, which iter_h0_blocks builds and validates one at a time, in
+ascending degree.  verify_full takes each block through the B-oracle and then
+its Brauer counts, and drops it before the next is built, so an error names
+the first failing block and the oracle holds one block at a time; the
+decompose oracle sums the B-oracle over the blocks the same way.  Oracle and
+closed form are compared by one function, table_divergences, which lists
+where the two tables differ.  iter_h0_blocks holds the oracle's one size
+guard, on an estimate of its work from dim H0 and p alone, checked when it
+is called, so a point far too large is refused before any basis.
 A restriction to the Borel subgroup is split into graded Jordan chains of
 L = log rho(u) on the torus weight spaces V_c = ker(rho(t) - zeta^c); L and
 not rho(u) - I, because only the logarithm moves every weight by exactly -2.
@@ -64,8 +66,8 @@ from .closedform import BLabel, InconsistencyError, _check_range
 from .curve import (
     BasisSet,
     GroupElement,
+    action_blocks,
     action_matrix,
-    block_action_matrices,
     dim_h0,
     linear_form_powers,
 )
@@ -92,6 +94,7 @@ __all__ = [
     "w_gen",
     "enumerate_group",
     "h0_module",
+    "iter_h0_blocks",
     "h0_blocks",
     "simple_module",
     "uab_module",
@@ -111,7 +114,7 @@ __all__ = [
 
 ENUM_GROUP_GUARD = 13
 COMP_FACTOR_GUARD = 400
-ORACLE_WORK_GUARD = 6 * 10**10  # h0_blocks' limit on _oracle_work
+ORACLE_WORK_GUARD = 6 * 10**10  # iter_h0_blocks' limit on _oracle_work
 
 
 class GuardError(RuntimeError):
@@ -129,6 +132,11 @@ def t_gen(ctx):
 
 def w_gen(ctx):
     return GroupElement.from_values(ctx, 0, 1, -1, 0)
+
+
+def _generators(ctx):
+    """The generators of SL2(p) by name, u, t and w, in the modules' order."""
+    return {"u": u_gen(ctx), "t": t_gen(ctx), "w": w_gen(ctx)}
 
 
 @dataclass
@@ -235,10 +243,7 @@ def h0_module(p, m):
     """The space of holomorphic m-differentials as an explicit G-module."""
     ctx = make_field(p)
     basis = BasisSet(p, m)
-    gens = {
-        name: action_matrix(g, basis)
-        for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx)))
-    }
+    gens = {name: action_matrix(g, basis) for name, g in _generators(ctx).items()}
     return ModuleRep(ctx, len(basis), gens).validate()
 
 
@@ -260,12 +265,14 @@ def _naming_block(deg, mod):
         raise type(exc)(f"grading block {deg} (dim {mod.dim}): {exc}") from exc
 
 
-def h0_blocks(p, m, force=False):
+def iter_h0_blocks(p, m, force=False):
     """H0 split into its G-stable grading blocks, degree (i + j) mod (p + 1):
-    one validated ModuleRep per nonempty block, {degree: ModuleRep} in
-    ascending degree, whose direct sum is h0_module(p, m).  The oracle's one
-    size guard: unless force=True, a (p, m) whose _oracle_work(p, dim H0)
-    exceeds ORACLE_WORK_GUARD is refused before any basis is built."""
+    an iterator of (degree, ModuleRep) over the nonempty blocks in ascending
+    degree, each built and validated when it is reached, whose direct sum is
+    h0_module(p, m).  A block that fails validate raises with the block named.
+    The oracle's one size guard is checked on the call, before any basis:
+    unless force=True, a (p, m) whose _oracle_work(p, dim H0) exceeds
+    ORACLE_WORK_GUARD is refused."""
     ctx = make_field(p)
     n = dim_h0(p, m)
     work = _oracle_work(p, n)
@@ -275,17 +282,23 @@ def h0_blocks(p, m, force=False):
             f"multiply-adds, above the limit {ORACLE_WORK_GUARD:.2g}; "
             "pass --force (force=True) to override"
         )
-    basis = BasisSet(p, m)
-    mats = {
-        name: block_action_matrices(g, basis)
-        for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx)))
-    }
-    blocks = {}
-    for deg, u in mats["u"].items():
-        mod = ModuleRep(ctx, u.rows, {name: mats[name][deg] for name in mats})
-        with _naming_block(deg, mod):
-            blocks[deg] = mod.validate()
-    return blocks
+    gens = _generators(ctx)
+    stream = action_blocks(tuple(gens.values()), BasisSet(p, m))
+
+    def validated():
+        for deg, mats in stream:
+            mod = ModuleRep(ctx, mats[0].rows, dict(zip(gens, mats)))
+            with _naming_block(deg, mod):
+                mod.validate()
+            yield deg, mod
+
+    return validated()
+
+
+def h0_blocks(p, m, force=False):
+    """Every block of iter_h0_blocks at once, {degree: ModuleRep} in ascending
+    degree, behind the same check of the oracle's one size guard."""
+    return dict(iter_h0_blocks(p, m, force=force))
 
 
 def simple_module(t, p):
@@ -298,12 +311,9 @@ def simple_module(t, p):
 
 def _simple_modules(ctx, top):
     """V_1 .. V_top, validated, from one linear_form_powers(g, top - 1) per
-    generator: its entry d is rho(g) on V_(d+1).  The simples share those
-    arrays, about top^3 / 3 residues per generator."""
-    powers = {
-        name: linear_form_powers(g, top - 1)
-        for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx)))
-    }
+    generator: its entry d, widened to int64 by FqMatrix, is rho(g) on
+    V_(d+1), about top^3 / 3 residues per generator in all."""
+    powers = {name: linear_form_powers(g, top - 1) for name, g in _generators(ctx).items()}
     return [
         ModuleRep(ctx, t, {name: FqMatrix(ctx, powers[name][t - 1]) for name in powers}).validate()
         for t in range(1, top + 1)
@@ -511,9 +521,10 @@ def decompose_b_oracle(mod):
 
 
 def b_labels_by_block(blocks):
-    """decompose_b_oracle summed over the blocks of h0_blocks."""
+    """decompose_b_oracle summed over (degree, module) pairs, such as the
+    blocks of iter_h0_blocks, each named in an error."""
     out = Counter()
-    for deg, mod in blocks.items():
+    for deg, mod in blocks:
         with _naming_block(deg, mod):
             out.update(decompose_b_oracle(restrict_to_b(mod)))
     return dict(out)
@@ -701,7 +712,7 @@ def _coset_table(ctx, reps):
             raise ValueError("transversal representatives share a coset")
         keymap[key] = j
     table = {}
-    for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx))):
+    for name, g in _generators(ctx).items():
         J, E, N = (np.empty(p + 1, dtype=np.intp) for _ in range(3))
         for i, rep in enumerate(reps):
             h = rep * g
@@ -874,14 +885,15 @@ def _compare(name, oracle, closed, agreed):
 
 def verify_full(p, m, force=False):
     """Run the four oracle-versus-closed-form checks for one (p, m), in one
-    pass over the grading blocks of h0_blocks: each block's B-labels, then its
-    Brauer counts, summed over the blocks, so an oracle error names the first
-    failing block in ascending degree.  force=True gets past the size guard
-    of h0_blocks."""
-    blocks = h0_blocks(p, m, force=force)
+    pass over the grading blocks of iter_h0_blocks: each block is built and
+    validated, then gives its B-labels and its Brauer counts, and is dropped,
+    so an error names the first failing block in ascending degree.  (m, p)
+    is checked as the closed form checks it, then the size guard, before any
+    basis; force=True gets past the guard."""
+    closedform._check_pm(m, p)
     n = dim_h0(p, m)
     oracle_b, counts = Counter(), []
-    for deg, mod in blocks.items():
+    for deg, mod in iter_h0_blocks(p, m, force=force):
         with _naming_block(deg, mod):
             oracle_b.update(decompose_b_oracle(restrict_to_b(mod)))
             counts.append(_brauer_counts(mod))

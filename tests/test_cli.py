@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from drinfeld import closedform, modrep
 from drinfeld.cli import RunConfig, build_parser, config_from_args, main, run
 
 GOLDEN_B32 = (
@@ -319,3 +320,27 @@ def test_decompose_oracle_takes_force():
     assert build_parser().parse_args(argv + ["--force"]).force
     assert _capture(argv + ["--force"]) == _capture(argv)
     assert _capture(argv)[0] == 0
+
+
+def test_oracle_commands_refuse_a_bad_m_before_any_basis(monkeypatch, capsys):
+    def fail(q, m):
+        raise AssertionError("BasisSet must not be built for a bad m")
+
+    monkeypatch.setattr(modrep, "BasisSet", fail)
+    for argv in (["verify", "--p", "127", "--m", "1"], ["verify", "--p", "251", "--m", "1"],
+                 ["decompose", "--p", "61", "--m", "1", "--oracle"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: m must be an integer >= 2, got 1\n", argv
+
+
+def test_decompose_oracle_refuses_before_the_closed_form(monkeypatch, capsys):
+    def fail(m, p):
+        raise AssertionError("the size guard must refuse before the closed form")
+
+    monkeypatch.setattr(closedform, "b_decomposition", fail)
+    assert main(["decompose", "--p", "251", "--m", "4", "--oracle"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the oracle at p=251, m=4 (dim H0 = 219618) is estimated at 4.2e+13 "
+        "multiply-adds, above the limit 6e+10; pass --force (force=True) to override\n"
+    )
+

@@ -435,3 +435,16 @@ def test_linear_form_powers_keep_only_basis_monomial_rows():
                     shifted = [ctx.zero] + poly
                     poly = [x + b * y for x, y in zip([a * c for c in poly] + [ctx.zero], shifted)]
                 assert row == [e.val for e in poly], (q, d, j)
+
+
+def test_action_blocks_hold_the_powers_in_the_least_dtype():
+    # linear_form_powers computes in int64; the powers that serve every block
+    # are held in the least dtype that holds q - 1 while the blocks are taken
+    for q, m in [(7, 3), (9, 2), (27, 2)]:
+        basis = enumerate_basis(q, m)
+        ctx = field(basis.p, basis.r)
+        blocks = curve.action_blocks((u_gen(ctx), w_gen(ctx)), basis)
+        next(blocks)
+        held = blocks.gi_frame.f_locals["powers"]
+        assert len(held) == 2 and all(len(pw) == basis.max_total + 1 for pw in held)
+        assert {rows.dtype for pw in held for rows in pw} == {np.min_scalar_type(q - 1)}, q

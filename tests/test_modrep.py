@@ -671,9 +671,9 @@ def test_b_oracle_takes_the_weight_basis_inverse_from_the_projectors(monkeypatch
         raise AssertionError("decompose_b_oracle must not invert its weight basis")
 
     blocks = h0_blocks(7, 4)
-    want = modrep.b_labels_by_block(blocks)
+    want = modrep.b_labels_by_block(blocks.items())
     monkeypatch.setattr(modrep, "inv_array", fail)
-    assert modrep.b_labels_by_block(blocks) == want == dict(bdec(4, 7).mult)
+    assert modrep.b_labels_by_block(blocks.items()) == want == dict(bdec(4, 7).mult)
 
 
 def test_b_oracle_on_the_zero_module():
@@ -1097,7 +1097,7 @@ def test_verify_guard_raises_before_h0_blocks(monkeypatch):
     def fail(sigma, basis):
         raise AssertionError("h0_blocks must not build matrices past the guard")
 
-    monkeypatch.setattr(modrep, "block_action_matrices", fail)
+    monkeypatch.setattr(modrep, "action_blocks", fail)
     with pytest.raises(GuardError, match=GUARD_MESSAGE):
         modrep.verify_full(251, 4)
 
@@ -1167,26 +1167,60 @@ def test_h0_blocks_refuses_oversize_before_building_a_basis(monkeypatch):
         h0_blocks(251, 4)
 
 
+def test_verify_refuses_a_bad_m_before_any_basis(monkeypatch):
+    def fail(q, m):
+        raise AssertionError("BasisSet must not be built for a bad m")
+
+    monkeypatch.setattr(modrep, "BasisSet", fail)
+    for p, m in [(127, 1), (251, 1)]:
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 2, got 1$"):
+            modrep.verify_full(p, m)
+
+
+def test_blocks_are_built_and_split_one_at_a_time(monkeypatch):
+    # each of the 8 blocks of (7, 4) is validated, then split, before the next
+    # is built; V_1..V_7 of the Brauer solve are validated once per p, here
+    modrep._count_solver(7)
+    events = []
+    real_validate, real_split = ModuleRep.validate, modrep.decompose_b_oracle
+
+    def validate(self):
+        events.append("build")
+        return real_validate(self)
+
+    def split(mod):
+        events.append("split")
+        return real_split(mod)
+
+    monkeypatch.setattr(ModuleRep, "validate", validate)
+    monkeypatch.setattr(modrep, "decompose_b_oracle", split)
+    assert modrep.verify_full(7, 4).all_passed
+    assert events == ["build", "split"] * 8
+    events.clear()
+    assert cli.main(["decompose", "--p", "7", "--m", "4", "--oracle", "--format", "json"]) == 0
+    assert events == ["build", "split"] * 8
+
+
 def test_oracle_errors_name_the_grading_block(monkeypatch):
     # rho(t) = I on block 5 of (5, 2): log rho(u) does not lower its weights
     blocks = dict(h0_blocks(5, 2))
     ctx, bad = field(5), blocks[5]
     eye = FqMatrix.identity(ctx, bad.dim)
     blocks[5] = ModuleRep(ctx, bad.dim, dict(bad.gens, t=eye))
-    monkeypatch.setattr(modrep, "h0_blocks", lambda p, m, force=False: blocks)
+    monkeypatch.setattr(modrep, "iter_h0_blocks", lambda p, m, force=False: iter(blocks.items()))
     with pytest.raises(InconsistencyError, match=r"^grading block 5 \(dim 6\): log rho\(u\)"):
         modrep.verify_full(5, 2)
     # validate inside h0_blocks names the block too
-    real = modrep.block_action_matrices
+    real = modrep.action_blocks
 
-    def tampered(sigma, basis):
-        out = real(sigma, basis)
-        if sigma == t_gen(ctx):
-            out[5] = eye
-        return out
+    def tampered(elements, basis):
+        for deg, mats in real(elements, basis):
+            if deg == 5:
+                mats = [eye if sigma == t_gen(ctx) else mat for sigma, mat in zip(elements, mats)]
+            yield deg, mats
 
     monkeypatch.undo()
-    monkeypatch.setattr(modrep, "block_action_matrices", tampered)
+    monkeypatch.setattr(modrep, "action_blocks", tampered)
     with pytest.raises(ValueError, match=r"^grading block 5 \(dim 6\): rho\(t\) rho\(u\)"):
         h0_blocks(5, 2)
 
@@ -1199,7 +1233,7 @@ def test_verify_names_the_first_failing_block(monkeypatch):
     for deg, name in ((1, "w"), (5, "t")):
         mod = blocks[deg]
         blocks[deg] = ModuleRep(ctx, mod.dim, dict(mod.gens, **{name: FqMatrix.identity(ctx, mod.dim)}))
-    monkeypatch.setattr(modrep, "h0_blocks", lambda p, m, force=False: blocks)
+    monkeypatch.setattr(modrep, "iter_h0_blocks", lambda p, m, force=False: iter(blocks.items()))
     with pytest.raises(
         InconsistencyError, match=r"^grading block 1 \(dim 2\): rho\(c\)\^\(p\+1\) != I for c = u\^4 w"
     ):
