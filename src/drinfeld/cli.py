@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform, modrep
-from .curve import BasisSet, GroupElement, action_matrix, degree
+from .curve import BasisSet, GroupElement, action_matrix, check_action_dim, degree, dim_h0
 from .ff import FqMatrix, make_field
 from .modrep import GuardError
 
@@ -73,6 +73,7 @@ def _doc_action(config):
     q = config.p**config.r
     ctx = make_field(config.p, config.r)
     sigma = _element_from_tokens(config.element, ctx)
+    check_action_dim(dim_h0(q, config.m))  # closed form: refuse before any basis
     mat = action_matrix(sigma, BasisSet(q, config.m))
     element = FqMatrix.from_elems(ctx, [[sigma.alpha, sigma.beta], [sigma.gamma, sigma.delta]])
     return 0, {"q": q, "p": config.p, "r": config.r, "m": config.m, "element": element, "matrix": mat}

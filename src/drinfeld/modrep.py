@@ -12,19 +12,19 @@ where the two tables differ.  iter_h0_blocks holds the oracle's one size
 guard, on an estimate of its work from dim H0 and p alone, checked when it
 is called, so a point far too large is refused before any basis.
 A restriction to the Borel subgroup is split into graded Jordan chains of
-L = log rho(u) on the torus weight spaces V_c = ker(rho(t) - zeta^c); L and
-not rho(u) - I, because only the logarithm moves every weight by exactly -2.
+N_1, the part of rho(u) - I that lowers weights by exactly 2, on the torus
+weight spaces V_c = ker(rho(t) - zeta^c).  N_1 = L + L^h / h! (L = log rho(u),
+h = (p+1)/2) is L times a unit of F[L], so it gives the chains of L.
 The split runs in one basis of weight vectors.  rho(t) scales each monomial,
 so on every H0 block, as on U_{a,b}, V_t and their sums, it is diagonal and
 that basis is a permutation of the given one, applied by reindexing; any
 other rho(t) gets its weight spaces by their definition, as kernels, and one
-change of basis whose span decides rho(t)^(p-1) = I.  There L is read off
-the part N_1 of rho(u) - I that lowers weights by 2, as N_1 - N_1^h / h!
-with h = (p+1)/2, and one stack of its powers checks L^p = 0 and
-exp(L) = rho(u): they hold exactly when log rho(u) has weight -2, and imply
-rho(u)^p = I.  The chains are taken from the top down, longest first, with
-two eliminations per chain length, so the pivots number n plus the chain
-count instead of sum_k rank(L^k).  U_{a,b} is built in its weight basis too.
+change of basis whose span decides rho(t)^(p-1) = I.  There one stack of the
+powers of N_1 checks N_1^p = 0 and rho(u) = exp(L) = sum_{j<p} f_j N_1^j:
+they hold exactly when log rho(u) has weight -2, and imply rho(u)^p = I.
+The chains are taken from the top down, longest first, with two
+eliminations per chain length, so the pivots number n plus the chain count
+instead of sum_k rank(N_1^k).  U_{a,b} is built in its weight basis too.
 Induction is realized through an explicit coset transversal: its coset
 bookkeeping depends on the field and the transversal alone, so it is a table
 built once per pair, and each generator's p + 1 blocks come from one
@@ -249,10 +249,10 @@ def h0_module(p, m):
 
 def _oracle_work(p, n):
     """Estimated multiply-adds of the blockwise oracle on an H0 of dimension n:
-    p n_d^3 per block, for p + 1 equal blocks of n_d = n / (p + 1).  That is
-    about the cost of the one dense stack L^0 .. L^p that decompose_b_oracle
-    builds per block; the estimate was fitted when the oracle built three such
-    stacks, and is kept so that the guard refuses the same points."""
+    p n_d^3 per block, for p + 1 equal blocks of n_d = n / (p + 1), about the
+    cost of decompose_b_oracle's one dense stack N_1^0 .. N_1^p per block; it
+    was fitted when the oracle built three such stacks, and is kept so that
+    the guard refuses the same points."""
     return p * n**3 // (p + 1) ** 2
 
 
@@ -303,10 +303,11 @@ def h0_blocks(p, m, force=False):
 
 def simple_module(t, p):
     """The simple V_t: homogeneous degree t-1 polynomials, basis
-    x^(t-1-k) y^k for k = 0..t-1."""
+    x^(t-1-k) y^k for k = 0..t-1; rho(g) is linear_form_powers(g, t-1)[-1]."""
     ctx = make_field(p)
     _check_range("t", t, 1, p)
-    return _simple_modules(ctx, t)[-1]
+    gens = {name: FqMatrix(ctx, linear_form_powers(g, t - 1)[-1]) for name, g in _generators(ctx).items()}
+    return ModuleRep(ctx, t, gens).validate()
 
 
 def _simple_modules(ctx, top):
@@ -418,7 +419,7 @@ def _weight_basis(ctx, T, X):
 
 def _weight_error(ctx, U, weight):
     """The error for U = rho(u) in the weight basis that fails the exp and
-    L^p checks: U^p = I + N^p with N = U - I, so N^p != 0 means rho(u) is not
+    N_1^p checks: U^p = I + N^p with N = U - I, so N^p != 0 means rho(u) is not
     unipotent; else log U = sum_{k<p} (-1)^(k+1) N^k / k, formed densely,
     names the first weight c that it does not map to c - 2."""
     p, n = ctx.p, U.shape[0]
@@ -437,42 +438,43 @@ def _weight_error(ctx, U, weight):
 def decompose_b_oracle(mod):
     """Split a B-module into uniserial summands U_{a,b} by pure matrix work.
 
-    When rho(u)^p = I, N = rho(u) - I has N^p = 0.  L = log rho(u) =
-    sum_{k<p} (-1)^(k+1) N^k / k has the same kernels and images as N and its
-    powers, and it is weight-homogeneous: rho(t) L = zeta^2 L rho(t), so L
-    maps the weight space V_c = ker(rho(t) - zeta^c) into V_{c-2}.  N itself
-    is not (N = L + L^2/2 + ... mixes weights c-2, c-4, ...), which is why
-    the chains below use L.  Each U_{a,b} is then one L-chain of weight
-    vectors from its top, of weight a + 2(b-1), down to its socle, of weight a.
+    When rho(u)^p = I, N = rho(u) - I has N^p = 0, and L = log rho(u) =
+    sum_{k<p} (-1)^(k+1) N^k / k is weight-homogeneous: rho(t) L =
+    zeta^2 L rho(t), so L maps the weight space V_c = ker(rho(t) - zeta^c)
+    into V_{c-2}, which N = L + L^2/2 + ... does not.  Each U_{a,b} is one
+    L-chain of weight vectors from its top, of weight a + 2(b-1), down to its
+    socle, of weight a.
 
     The work runs in one weight basis P (_weight_basis): a permutation when
     rho(t) is diagonal, as on every H0 block, so rho(u) is only reindexed,
-    else bases of the kernels of rho(t) - zeta^c.  There L is taken without a
-    logarithm.  L^j moves weights by -2j mod p-1, and N = sum_{1<=j<p} L^j / j!,
-    so the part N_1 of N that maps weight c to c - 2 is L + L^h / h! with
-    h = (p+1)/2: j = 1 and j = h are the only j < p with 2j = 2 mod p-1.
-    Every other term of N_1^h has
-    L-degree at least 2h - 1 = p, so N_1^h = L^h and L = N_1 - N_1^h / h!.
-    This L has weight -2 by construction, and it is log rho(u) exactly when
-    L^p = 0 and exp(L) = sum_{j<p} L^j / j! = I + N, both checked on the one
-    stack of its powers; so the two checks hold exactly when log rho(u) has
-    weight -2.  They imply rho(u)^p = I: exp(L)^p = I + (exp(L) - I)^p, and
-    exp(L) - I is L times a polynomial in L.  When they fail, _weight_error
-    tells whether rho(u) is unipotent and names the first bad weight.
+    else bases of the kernels of rho(t) - zeta^c.  There the chains are those
+    of the part N_1 of N that maps weight c to c - 2: L^j moves weights by
+    -2j mod p-1 and N = sum_{1<=j<p} L^j / j!, so N_1 = L + L^h / h! with
+    h = (p+1)/2, the one j < p besides 1 with 2j = 2 mod p-1.  That is L
+    times a unit of F[L], so F[N_1] = F[L]; at step s below M L^s lies in the
+    L-stable W, so e N_1^(s-1) = e L^(s-1) mod W, and the tops, W and the
+    labels are those of L.  As 2h = p + 1, L = N_1 - N_1^h / h! and
+    exp(L) = sum_{j<p} f_j N_1^j, with f_j = 1/j! - [j >= h] / ((j-h)! h!)
+    the coefficients of exp(x) (1 - x^h / h!) mod x^p.  N_1 - N_1^h / h! has
+    weight -2, and it is log rho(u) exactly when N_1^p = 0 and
+    sum_{j<p} f_j N_1^j = I + N, both checked on the one stack of the powers
+    of N_1: they hold exactly when log rho(u) has weight -2, and imply
+    rho(u)^p = I + (exp(L) - I)^p = I, as exp(L) - I is L times a polynomial
+    in L.  When they fail, _weight_error tells whether rho(u) is unipotent and
+    names the first bad weight.
 
     The chains are then taken from the top down, for s = p, ..., 1.  W, the
-    span of the chains found so far, is a graded submodule, and L^s = 0 on M/W
-    when step s begins.  The basis vectors e_i whose images under L^(s-1)
-    form a basis of (M/W) L^(s-1) are the tops of the chains of length s: one
-    elimination picks them.  Their chains e_i L^k, k < s, are free over
-    F[x]/(x^s).  That ring is self-injective, so a free graded submodule of
-    M/W is a graded direct summand, and the other summands are those of the
-    quotient by it.  One more elimination checks that the chains have
-    s * #tops independent vectors mod W and folds them into W.  Each top e_i,
-    of weight c, is the top of a U_{a,s} with a = c - 2(s-1) mod p-1.  So the
-    work is two eliminations per chain length, with n pivots plus one per top
-    in all, where a count of the ranks dim V_c L^k would need sum_k rank(L^k)
-    pivots.
+    span of the chains found so far, is a graded submodule, and N_1^s = 0 on
+    M/W when step s begins.  The basis vectors e_i whose images under
+    N_1^(s-1) form a basis of (M/W) N_1^(s-1) are the tops of the chains of
+    length s: one elimination picks them.  Their chains e_i N_1^k, k < s, are
+    free over F[x]/(x^s).  That ring is self-injective, so a free graded
+    submodule of M/W is a graded direct summand, and the other summands are
+    those of the quotient by it.  One more elimination checks that the chains
+    have s * #tops independent vectors mod W and folds them into W.  Each top
+    e_i, of weight c, is the top of a U_{a,s} with a = c - 2(s-1) mod p-1.  So
+    the work is two eliminations per chain length, with n pivots plus one per
+    top in all, not the sum_k rank(L^k) that a count of ranks dim V_c L^k needs.
     Returns {BLabel(a, b): n}, in order of b, then a.
     """
     if mod.group != "B":
@@ -483,13 +485,11 @@ def decompose_b_oracle(mod):
     eye = np.eye(n, dtype=np.int64)
     U, weight = _weight_basis(ctx, arr["t"], arr["u"])  # rho(u) in the weight basis
     down = weight[None, :] == (weight[:, None] - 2) % (p - 1)  # (c, c-2) entries
-    N1 = np.where(down, (U - eye) % p, 0)
-    h = (p + 1) // 2
-    Lw = (N1 - pow(math.factorial(h), -1, p) * matpow_array(N1, h, p)) % p
-    Lpow = _power_stack(ctx, Lw, p + 1)  # L'^0 .. L'^p
-    exp_coef = [[pow(math.factorial(j), -1, p) for j in range(p)]]
-    expL = ctx.matmul(exp_coef, Lpow[:p].reshape(p, n * n)).reshape(n, n)
-    if Lpow[p].any() or not np.array_equal(expL, U):
+    N1pow = _power_stack(ctx, np.where(down, (U - eye) % p, 0), p + 1)  # N_1^0 .. N_1^p
+    h, inv_fac = (p + 1) // 2, [pow(math.factorial(j), -1, p) for j in range(p)]
+    f = [[(inv_fac[j] - (inv_fac[j - h] * inv_fac[h] if j >= h else 0)) % p for j in range(p)]]
+    expL = ctx.matmul(f, N1pow[:p].reshape(p, n * n)).reshape(n, n)  # exp(L) in N_1
+    if N1pow[p].any() or not np.array_equal(expL, U):
         raise _weight_error(ctx, U, weight)
     # W holds the rref rows of the chains found so far, and M/W has the basis
     # e_i off its pivots.  Reducing a weight vector mod W keeps it one, since
@@ -500,12 +500,12 @@ def decompose_b_oracle(mod):
         if len(wpiv) == n:
             break
         free = np.delete(np.arange(n), wpiv)
-        X = _reduce_rows(ctx, Lpow[s - 1][free], W, wpiv)
+        X = _reduce_rows(ctx, N1pow[s - 1][free], W, wpiv)
         if not X.any():
             continue
         # the tops: the rows of X that form a basis of (M/W) L^(s-1)
         tops = free[_row_space(X[:, free].T, p)[1]]
-        C, cpiv = _row_space(_reduce_rows(ctx, Lpow[:s, tops].reshape(s * tops.size, n), W, wpiv), p)
+        C, cpiv = _row_space(_reduce_rows(ctx, N1pow[:s, tops].reshape(s * tops.size, n), W, wpiv), p)
         if len(cpiv) != s * tops.size:
             raise InconsistencyError(
                 f"the {tops.size} L-chains of length {s} span {len(cpiv)} "

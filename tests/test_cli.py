@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from drinfeld import closedform, modrep
+from drinfeld import cli, closedform, modrep
 from drinfeld.cli import RunConfig, build_parser, config_from_args, main, run
 
 GOLDEN_B32 = (
@@ -344,3 +344,14 @@ def test_decompose_oracle_refuses_before_the_closed_form(monkeypatch, capsys):
         "multiply-adds, above the limit 6e+10; pass --force (force=True) to override\n"
     )
 
+
+
+def test_action_refuses_an_oversize_matrix_before_any_basis(monkeypatch, capsys):
+    # dim H0 is a closed form, so the cell limit needs no basis enumeration
+    def fail(q, m):
+        raise AssertionError("BasisSet must not be built for an oversize action matrix")
+
+    monkeypatch.setattr(cli, "BasisSet", fail)
+    for p, n in ((1009, 1525605), (30011, 1350945162)):
+        assert main(["action", "--p", str(p), "--m", "2", "--element", "1", "1", "0", "1"]) == 2
+        assert capsys.readouterr().err == f"error: action matrix of dimension {n} exceeds 33554432 cells\n"

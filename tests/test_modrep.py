@@ -132,6 +132,22 @@ def test_simples_from_one_power_build_match_each_simple():
                     assert X.dtype == own.dtype and X.tobytes() == own.tobytes(), (p, t, name)
 
 
+def test_simple_module_validates_only_the_simple_it_builds(monkeypatch):
+    calls = []
+    validate = ModuleRep.validate
+
+    def counted(self):
+        calls.append(self.dim)
+        return validate(self)
+
+    monkeypatch.setattr(ModuleRep, "validate", counted)
+    for p in (5, 13, 31):
+        for t in (1, 2, (p + 1) // 2, p):
+            calls.clear()
+            assert simple_module(t, p).dim == t
+            assert calls == [t], (p, t, calls)
+
+
 def test_uab_one_dimensional():
     for p in (3, 5):
         zeta = field(p).zeta
@@ -410,6 +426,16 @@ def test_b_oracle_matches_kernel_chain_on_h0_blocks():
         for deg, mod in h0_blocks(p, m).items():
             mod = restrict_to_b(mod)
             assert decompose_b_oracle(mod) == _kernel_chain_b_labels(mod), (p, m, deg)
+
+
+def test_b_oracle_matches_kernel_chain_on_h0_blocks_at_new_h():
+    # p = 17, 19 and 23 give h = (p+1)/2 = 9, 10 and 12, each a new row of
+    # the exp coefficients f_j; p = 3 has one weight parity only
+    for p in (3, 17, 19, 23):
+        for m in (2, 3):
+            for deg, mod in h0_blocks(p, m).items():
+                mod = restrict_to_b(mod)
+                assert decompose_b_oracle(mod) == _kernel_chain_b_labels(mod), (p, m, deg)
 
 
 def _draw_uab_sum(data, primes):
@@ -763,8 +789,9 @@ def test_weight_basis_message_on_a_non_semisimple_torus():
 
 
 def test_b_oracle_takes_one_matrix_power_on_h0_blocks(monkeypatch):
-    # N_1^h is the only power: rho(u)^p = I follows from the exp and L^p
-    # checks, and a diagonal rho(t) needs no power either
+    # no matrix power at all: the powers of N_1 come from the one stack,
+    # rho(u)^p = I follows from the exp and N_1^p checks, and a diagonal
+    # rho(t) needs no power either
     calls = []
 
     def counted(A, k, p):
@@ -777,8 +804,29 @@ def test_b_oracle_takes_one_matrix_power_on_h0_blocks(monkeypatch):
         for deg, mod in blocks.items():
             calls.clear()
             decompose_b_oracle(restrict_to_b(mod))
-            assert calls == [(p + 1) // 2], (p, m, deg, calls)
+            assert calls == [], (p, m, deg, calls)
         monkeypatch.undo()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_b_oracle_takes_no_matrix_power_off_the_diagonal_torus(data):
+    # the kernel route of _weight_basis, on U_{a,b} sums in a random basis and
+    # on restricted induced modules, whose rho(t) permutes the cosets
+    labels, mod = _draw_uab_sum(data, [3, 5, 7, 11])
+    hidden = _random_basis(data, mod).validate()
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    a, b = data.draw(st.integers(0, p - 2)), data.draw(st.integers(1, p))
+    induced = restrict_to_b(induce_to_g(uab_module(a, b, p)))
+
+    def fail(*args):
+        raise AssertionError("decompose_b_oracle must take no matrix power")
+
+    want = _kernel_chain_b_labels(induced)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modrep, "matpow_array", fail)
+        assert decompose_b_oracle(hidden) == dict(Counter(BLabel(a, b) for a, b in labels))
+        assert decompose_b_oracle(induced) == want
 
 
 @settings(max_examples=40, deadline=None)
