@@ -6,15 +6,19 @@ plain residues mod p).  Internally an element is packed into a single integer
 c_0 + c_1*p + ... + c_{r-1}*p^{r-1}; matrices store packed values in a dense
 integer array.
 
-Row reduction, kernel, inverse and power are written once, over four
+Row reduction, rank, kernel, inverse and power are written once, over four
 packed-array ops of FieldCtx (submul, mul, neg, matmul), the only array code
-that depends on r.  For r = 1 the scalar ops, submul, mul and neg are plain
-mod-p integer code.  For r > 1 the ADD/MUL/NEG lookup tables of
-FieldCtx.tables, built with numpy from the modulus, define them: the scalar
-ops (padd, pneg, pmul) and submul, mul and neg index them.  matmul sums the
-r products A_k @ (B * x^k) over the digit planes A_k of A, with the shifts
-B * x^k from FieldCtx._shifts, which also builds the MUL table.  Tables are
-built only for q <= TABLE_MAX_Q = 2048; a larger field raises ValueError.
+that depends on r.  Rank has its own elimination, over leading batch axes
+as matmul has: per column, each matrix of a stack picks a pivot row and
+clears the column from its other unused rows by a Y - b P, with no inverse,
+so a stack of many small matrices costs one vectorised step per column.
+For r = 1 the scalar ops, submul, mul and neg are plain mod-p integer code.
+For r > 1 the ADD/MUL/NEG lookup tables of FieldCtx.tables, built with numpy
+from the modulus, define them: the scalar ops (padd, pneg, pmul) and submul,
+mul and neg index them.  matmul sums the r products A_k @ (B * x^k) over the
+digit planes A_k of A, with the shifts B * x^k from FieldCtx._shifts, which
+also builds the MUL table.  Tables are built only for q <= TABLE_MAX_Q =
+2048; a larger field raises ValueError.
 The *_array functions are the prime-field entry points on plain residue
 arrays.  Two of them exist over the prime field only, and together they
 count eigenvalues with no polynomial division.  charpoly_array reduces a
@@ -49,6 +53,7 @@ c * X of submul and mul stay below 2^62.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -505,6 +510,33 @@ def _kernel(ctx, A):
     return K
 
 
+def _rank(ctx, A):
+    # ranks of a stack (..., rows, cols), an int array of the batch shape, by
+    # one vectorised elimination that reduces A, which the caller owns.  Per
+    # column, each matrix with an unused row that is nonzero there takes the
+    # first as a pivot row P and replaces every row Y by a Y - b P, a = P[c]
+    # and b = Y[c], with no inverse.  P and the unused rows span what they
+    # spanned before, and the unused rows are now zero in columns 0..c, so
+    # the rank is the pivot count plus the rank of the unused rows; the used
+    # rows, P included, are never read again.  Only matrices with a pivot
+    # in the column are touched, so a zero matrix costs a scan.
+    batch, (rows, cols) = A.shape[:-2], A.shape[-2:]
+    A = A.reshape(math.prod(batch), rows, cols)
+    free = np.ones(A.shape[:2], dtype=bool)
+    for c in range(cols):
+        nz = (A[:, :, c] != 0) & free
+        mats = nz.any(axis=1).nonzero()[0]
+        if not mats.size:
+            continue
+        nz = nz[mats]
+        piv = nz.argmax(axis=1)
+        free[mats, piv] = False
+        X = A[mats, :, c:]
+        P = X[np.arange(mats.size), piv]
+        A[mats, :, c:] = ctx.submul(ctx.mul(P[:, :1, None], X), X[:, :, :1], P[:, None, :])
+    return (~free).sum(axis=1).reshape(batch)
+
+
 def _inv(ctx, A):
     n, m = A.shape
     if n != m:
@@ -613,7 +645,15 @@ def rref_array(A, p):
 
 
 def rank_array(A, p):
-    return len(rref_array(A, p)[1])
+    """Rank mod p of a matrix, or of every matrix in a stack: axes before the
+    last two are batch axes, as in FieldCtx.matmul, and one vectorised
+    elimination over the stack, one step per column, gives an int array of
+    the batch shape.  A 2-d A is a stack of one and gives an int."""
+    A = np.asarray(A, dtype=np.int64) % p
+    if A.ndim < 2:
+        raise ValueError("expected an array of ndim >= 2")
+    ranks = _rank(_prime_field(p), A)
+    return int(ranks) if A.ndim == 2 else ranks
 
 
 def kernel_array(A, p):
@@ -770,7 +810,7 @@ def rref(m):
 
 
 def rank(m):
-    return len(rref(m)[1])
+    return int(_rank(m.ctx, m.data.copy()))
 
 
 def kernel_basis(m):

@@ -19,12 +19,17 @@ The split runs in one basis of weight vectors.  rho(t) scales each monomial,
 so on every H0 block, as on U_{a,b}, V_t and their sums, it is diagonal and
 that basis is a permutation of the given one, applied by reindexing; any
 other rho(t) gets its weight spaces by their definition, as kernels, and one
-change of basis whose span decides rho(t)^(p-1) = I.  There one stack of the
-powers of N_1 checks N_1^p = 0 and rho(u) = exp(L) = sum_{j<p} f_j N_1^j:
-they hold exactly when log rho(u) has weight -2, and imply rho(u)^p = I.
-The chains are taken from the top down, longest first, with two
-eliminations per chain length, so the pivots number n plus the chain count
-instead of sum_k rank(N_1^k).  U_{a,b} is built in its weight basis too.
+change of basis whose span decides rho(t)^(p-1) = I.  There N_1 is a stack
+of its blocks between the p - 1 weight spaces, each padded to the largest,
+D, and batched doubling gives the blocks of N_1^0 .. N_1^p: (p-1)(p+1)
+matrices D x D, D about n / (p-1), in place of p + 1 of n x n.  Block by
+block they check N_1^p = 0 and rho(u) = exp(L) = sum_{j<p} f_j N_1^j: these
+hold exactly when log rho(u) has weight -2, and imply rho(u)^p = I.  The
+labels come from ranks alone: r_c(k), the rank of N_1^k on V_c, counts the
+chain vectors of weight c with at least k below them, so the chains of
+length s whose top has weight c number
+r_c(s-1) - r_{c+2}(s) - r_c(s) + r_{c+2}(s+1), and every r_c(k) comes from
+one batched rank_array call.  U_{a,b} is built in its weight basis too.
 Induction is realized through an explicit coset transversal: its coset
 bookkeeping depends on the field and the transversal alone, so it is a table
 built once per pair, and each generator's p + 1 blocks come from one
@@ -78,6 +83,7 @@ from .ff import (
     kernel_array,
     make_field,
     matpow_array,
+    rank_array,
     root_multiplicities,
     rref_array,
 )
@@ -248,11 +254,11 @@ def h0_module(p, m):
 
 
 def _oracle_work(p, n):
-    """Estimated multiply-adds of the blockwise oracle on an H0 of dimension n:
-    p n_d^3 per block, for p + 1 equal blocks of n_d = n / (p + 1), about the
-    cost of decompose_b_oracle's one dense stack N_1^0 .. N_1^p per block; it
-    was fitted when the oracle built three such stacks, and is kept so that
-    the guard refuses the same points."""
+    """The size guard's estimate for an H0 of dimension n: p n_d^3 per block,
+    for p + 1 equal blocks of n_d = n / (p + 1).  It was the multiply-adds of
+    a dense stack of p powers of each block, which decompose_b_oracle no
+    longer builds, so it no longer models the oracle's cost; it is kept so
+    that the guard refuses the same points until it is fitted again."""
     return p * n**3 // (p + 1) ** 2
 
 
@@ -374,20 +380,33 @@ def _reduce_rows(ctx, X, R, piv):
 
 
 def _power_stack(ctx, M, count):
-    """M^0 .. M^(count-1) as one (count, n, n) array, by doubling: while
-    the stack holds M^0 .. M^(j-1), one matmul of it by M^j adds M^j ..
-    M^(2j-1)."""
-    n = M.shape[0]
-    out = np.empty((count, n, n), dtype=np.int64)
-    out[0] = np.eye(n, dtype=np.int64)
-    j, step = 1, M  # step = M^j
-    while j < count:
-        k = min(j, count - j)
-        out[j : j + k] = ctx.matmul(out[:k].reshape(k * n, n), step).reshape(k, n, n)
+    """M^0 .. M^(count-1) for a map M of weight -2, given by its blocks.
+
+    M is a (g, D, D) stack whose block M[t] maps space t + 2 into space t,
+    indices mod g; a 2-d M is the one-block case.  out[t, k] is then the
+    block of M^k into space t, from space t + 2k, and a 2-d M gets the
+    (count, n, n) stack of its powers.  By doubling: while out holds
+    M^0 .. M^j, M^(i+j) into t is (M^i into t + 2j) times (M^j into t), so
+    one batched matmul, one product per target block, adds M^(j+1) ..
+    M^(2j)."""
+    blocks = M[None] if M.ndim == 2 else M
+    g, n = blocks.shape[0], blocks.shape[-1]
+    out = np.empty((g, count, n, n), dtype=np.int64)
+    out[:, 0] = np.eye(n, dtype=np.int64)
+    out[:, 1:2] = blocks[:, None]
+    j = 1
+    while j + 1 < count:
+        k = min(j, count - 1 - j)
+        left = _shifted(out[:, 1 : k + 1], 2 * j)  # M^i into t + 2j, for 1 <= i <= k
+        out[:, j + 1 : j + 1 + k] = ctx.matmul(left.reshape(g, k * n, n), out[:, j]).reshape(g, k, n, n)
         j += k
-        if j < count:
-            step = ctx.matmul(step, step)
-    return out
+    return out[0] if M.ndim == 2 else out
+
+
+def _shifted(S, s):
+    """S[(t + s) mod g] for each t < g = len(S), with no copy when s = 0 mod g."""
+    s %= len(S)
+    return np.concatenate((S[s:], S[:s])) if s else S
 
 
 def _weight_basis(ctx, T, X):
@@ -451,70 +470,83 @@ def decompose_b_oracle(mod):
     of the part N_1 of N that maps weight c to c - 2: L^j moves weights by
     -2j mod p-1 and N = sum_{1<=j<p} L^j / j!, so N_1 = L + L^h / h! with
     h = (p+1)/2, the one j < p besides 1 with 2j = 2 mod p-1.  That is L
-    times a unit of F[L], so F[N_1] = F[L]; at step s below M L^s lies in the
-    L-stable W, so e N_1^(s-1) = e L^(s-1) mod W, and the tops, W and the
-    labels are those of L.  As 2h = p + 1, L = N_1 - N_1^h / h! and
-    exp(L) = sum_{j<p} f_j N_1^j, with f_j = 1/j! - [j >= h] / ((j-h)! h!)
-    the coefficients of exp(x) (1 - x^h / h!) mod x^p.  N_1 - N_1^h / h! has
-    weight -2, and it is log rho(u) exactly when N_1^p = 0 and
-    sum_{j<p} f_j N_1^j = I + N, both checked on the one stack of the powers
-    of N_1: they hold exactly when log rho(u) has weight -2, and imply
+    times a unit of F[L] of weight 0 (L^(h-1) has weight 1 - p), so N_1^k and
+    L^k have the same rank on every weight space, and the counts below give
+    the same chains.  As 2h = p + 1,
+    L = N_1 - N_1^h / h! and exp(L) = sum_{j<p} f_j N_1^j, with
+    f_j = 1/j! - [j >= h] / ((j-h)! h!) the coefficients of
+    exp(x) (1 - x^h / h!) mod x^p.  N_1 - N_1^h / h! has weight -2, and it is
+    log rho(u) exactly when N_1^p = 0 and sum_{j<p} f_j N_1^j = I + N: they
+    hold exactly when log rho(u) has weight -2, and imply
     rho(u)^p = I + (exp(L) - I)^p = I, as exp(L) - I is L times a polynomial
     in L.  When they fail, _weight_error tells whether rho(u) is unipotent and
     names the first bad weight.
 
-    The chains are then taken from the top down, for s = p, ..., 1.  W, the
-    span of the chains found so far, is a graded submodule, and N_1^s = 0 on
-    M/W when step s begins.  The basis vectors e_i whose images under
-    N_1^(s-1) form a basis of (M/W) N_1^(s-1) are the tops of the chains of
-    length s: one elimination picks them.  Their chains e_i N_1^k, k < s, are
-    free over F[x]/(x^s).  That ring is self-injective, so a free graded
-    submodule of M/W is a graded direct summand, and the other summands are
-    those of the quotient by it.  One more elimination checks that the chains
-    have s * #tops independent vectors mod W and folds them into W.  Each top
-    e_i, of weight c, is the top of a U_{a,s} with a = c - 2(s-1) mod p-1.  So
-    the work is two eliminations per chain length, with n pivots plus one per
-    top in all, not the sum_k rank(L^k) that a count of ranks dim V_c L^k needs.
-    Returns {BLabel(a, b): n}, in order of b, then a.
+    All of it runs on blocks between the p - 1 weight spaces, each padded to
+    the largest, D: N_1 is a (p-1, D, D) stack of its blocks V_{c+2} -> V_c,
+    and _power_stack gives the blocks of N_1^0 .. N_1^p by batched doubling.
+    The checks run block by block over every pair (c, c'): rho(u)'s block
+    from V_c to V_c' is the sum of f_k times N_1^k's block over the k < p
+    with c - 2k = c' mod p-1, and zero where c - c' is odd, which no k
+    reaches; N_1^p = 0 is a check on its blocks.
+
+    The labels come from ranks alone.  In a basis of graded chains, N_1^k
+    maps each chain vector of weight c with at least k vectors below it to
+    another chain vector, and every other to 0, so r_c(k), the rank of
+    N_1^k on V_c, counts the chain vectors of weight c with at least k
+    below them, wrap-around included.  Those that are not tops sit below a
+    vector of weight c + 2 with at least k + 1 below it, so
+    r_c(k) - r_{c+2}(k+1) tops of weight c have at least k below them, and
+    the chains of length s whose top has weight c number
+    r_c(s-1) - r_{c+2}(s) - r_c(s) + r_{c+2}(s+1), each a U_{a,s} with
+    a = c - 2(s-1) mod p-1.  All (p+1)(p-1) ranks, D x D each, come from one
+    rank_array call.  Returns {BLabel(a, b): n}, in order of b, then a.
     """
     if mod.group != "B":
         raise ValueError("decompose_b_oracle expects a B-module (no w generator)")
     ctx = mod.field
     p, n = ctx.p, mod.dim
+    g = p - 1
     arr = mod.arrays()
-    eye = np.eye(n, dtype=np.int64)
-    U, weight = _weight_basis(ctx, arr["t"], arr["u"])  # rho(u) in the weight basis
-    down = weight[None, :] == (weight[:, None] - 2) % (p - 1)  # (c, c-2) entries
-    N1pow = _power_stack(ctx, np.where(down, (U - eye) % p, 0), p + 1)  # N_1^0 .. N_1^p
+    U, weight = _weight_basis(ctx, arr["t"], arr["u"])  # weights ascending
+    dims = np.bincount(weight, minlength=g)
+    D = int(dims.max(initial=0))
+    live = np.arange(D) < dims[:, None]  # (c, i): V_c has an i-th basis vector
+    # at[c, i]: the index of V_c's i-th basis vector, or n past dim V_c, which
+    # picks the zero row and column padded onto U
+    at = np.where(live, (np.cumsum(dims) - dims)[:, None] + np.arange(D), n)
+    # blocks[t, e]: rho(u)'s block from V_{t+e} to V_t, padded to D x D
+    rows = at[(np.arange(g)[:, None] + np.arange(g)) % g]
+    padded = np.zeros((n + 1, n + 1), dtype=np.int64)
+    padded[:n, :n] = U
+    blocks = padded[rows[..., None], at[:, None, None, :]]
+    eye = np.eye(D, dtype=np.int64) * live[:, None, :]  # the identity of each V_t
+    N1 = (blocks[:, 2 % g] - (g == 2) * eye) % p  # at p = 3, c - 2 = c
+    N1pow = _power_stack(ctx, N1, p + 1)  # N1pow[t, k]: N_1^k into V_t, from V_{t+2k}
+    N1pow[:, 0] = eye
     h, inv_fac = (p + 1) // 2, [pow(math.factorial(j), -1, p) for j in range(p)]
-    f = [[(inv_fac[j] - (inv_fac[j - h] * inv_fac[h] if j >= h else 0)) % p for j in range(p)]]
-    expL = ctx.matmul(f, N1pow[:p].reshape(p, n * n)).reshape(n, n)  # exp(L) in N_1
-    if N1pow[p].any() or not np.array_equal(expL, U):
+    f = [(inv_fac[j] - (inv_fac[j - h] * inv_fac[h] if j >= h else 0)) % p for j in range(p)]
+    # expL[t, e]: exp(L)'s block from V_{t+2e} to V_t, from the k = e mod g/2
+    F = np.zeros((g // 2, p), dtype=np.int64)
+    F[np.arange(p) % (g // 2), np.arange(p)] = f
+    expL = ctx.matmul(F, N1pow[:, :p].reshape(g, p, D * D)).reshape(g, g // 2, D, D)
+    if N1pow[:, p].any() or blocks[:, 1::2].any() or not np.array_equal(blocks[:, ::2], expL):
         raise _weight_error(ctx, U, weight)
-    # W holds the rref rows of the chains found so far, and M/W has the basis
-    # e_i off its pivots.  Reducing a weight vector mod W keeps it one, since
-    # each row of W shares the weight of its pivot column.
-    W, wpiv = np.zeros((0, n), dtype=np.int64), []
-    found = Counter()  # (a, b) -> n_{a,b}
-    for s in range(p, 0, -1):
-        if len(wpiv) == n:
-            break
-        free = np.delete(np.arange(n), wpiv)
-        X = _reduce_rows(ctx, N1pow[s - 1][free], W, wpiv)
-        if not X.any():
-            continue
-        # the tops: the rows of X that form a basis of (M/W) L^(s-1)
-        tops = free[_row_space(X[:, free].T, p)[1]]
-        C, cpiv = _row_space(_reduce_rows(ctx, N1pow[:s, tops].reshape(s * tops.size, n), W, wpiv), p)
-        if len(cpiv) != s * tops.size:
-            raise InconsistencyError(
-                f"the {tops.size} L-chains of length {s} span {len(cpiv)} "
-                f"of {s * tops.size} dimensions"
-            )
-        W = np.vstack([_reduce_rows(ctx, W, C, cpiv), C])  # rref again
-        wpiv += cpiv
-        found.update((a, s) for a in ((weight[tops] - 2 * (s - 1)) % (p - 1)).tolist())
-    out = {BLabel(a, b): found[a, b] for a, b in sorted(found, key=lambda ab: ab[::-1])}
+    ranks = rank_array(N1pow, p)  # ranks[t, k] = r_{t+2k}(k)
+    power = np.arange(p + 1)
+    r = np.zeros((g, p + 2), dtype=np.int64)  # r[c, k] = r_c(k), and r_c(p+1) = 0
+    r[:, : p + 1] = ranks[(np.arange(g)[:, None] - 2 * power) % g, power]
+    tops = r[:, :-1] - _shifted(r, 2)[:, 1:]  # [c, k]: tops of weight c, >= k below
+    chains = tops[:, :-1] - tops[:, 1:]  # chains[c, s-1]: length s, top weight c
+    if (chains < 0).any():
+        c, s = np.argwhere(chains < 0)[0].tolist()
+        raise InconsistencyError(
+            f"the ranks of the powers of N_1 count {chains[c, s]} chains "
+            f"of length {s + 1} with top weight {c}"
+        )
+    c, s = chains.nonzero()
+    labels = sorted(zip((s + 1).tolist(), ((c - 2 * s) % g).tolist(), chains[c, s].tolist()))
+    out = {BLabel(a, b): k for b, a, k in labels}
     if sum(lab.b * k for lab, k in out.items()) != n:
         raise InconsistencyError("recovered summands do not fill the module")
     return out

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -210,6 +211,28 @@ def test_rank_nullity_random():
             rows, cols = rng.integers(1, 9, size=2)
             A = rng.integers(0, p, size=(rows, cols))
             assert rank_array(A, p) + kernel_array(A, p).shape[1] == cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rank_array_of_a_stack_matches_rref_of_each_matrix(data):
+    # batch axes, R != C, empty stacks and empty matrices; rows zeroed at
+    # random and a dependent last row keep ranks below full
+    p = data.draw(st.sampled_from([3, 7, 101]))
+    batch = tuple(data.draw(st.lists(st.integers(0, 3), max_size=2)))
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, p, size=batch + (rows, cols))
+    A *= rng.random(batch + (rows, 1)) < 0.6
+    if rows > 1:
+        A[..., -1, :] = (A[..., 0, :] + 2 * A[..., -2, :]) % p
+    want = np.array([len(rref_array(X, p)[1]) for X in A.reshape(math.prod(batch), rows, cols)], dtype=np.int64)
+    got = rank_array(A, p)
+    if batch:
+        assert got.shape == batch and np.array_equal(got.reshape(-1), want)
+    else:
+        assert type(got) is int and got == want[0]
 
 
 def test_rref_idempotent_random():

@@ -656,7 +656,7 @@ def test_b_oracle_builds_one_power_stack_on_h0_blocks(monkeypatch):
     for deg, mod in blocks.items():
         calls.clear()
         decompose_b_oracle(restrict_to_b(mod))
-        assert calls == [12], (deg, calls)  # L'^0 .. L'^p
+        assert calls == [12], (deg, calls)  # the blocks of N_1^0 .. N_1^p
 
 
 def test_b_oracle_makes_no_projector_elimination_on_h0_blocks(monkeypatch):
@@ -702,10 +702,86 @@ def test_b_oracle_takes_the_weight_basis_inverse_from_the_projectors(monkeypatch
     assert modrep.b_labels_by_block(blocks.items()) == want == dict(bdec(4, 7).mult)
 
 
+def test_b_oracle_takes_one_batched_rank_and_no_rref_on_h0_blocks(monkeypatch):
+    ranks, rrefs = [], []
+
+    def counted_rank(A, p):
+        ranks.append(A.shape)
+        return rank_array(A, p)
+
+    def counted_rref(A, p):
+        rrefs.append(A.shape)
+        return rref_array(A, p)
+
+    monkeypatch.setattr(modrep, "rank_array", counted_rank)
+    monkeypatch.setattr(modrep, "rref_array", counted_rref)
+    for p, m in [(7, 4), (13, 3)]:
+        for deg, mod in h0_blocks(p, m).items():
+            ranks.clear()
+            decompose_b_oracle(restrict_to_b(mod))
+            assert len(ranks) == 1 and ranks[0][:2] == (p - 1, p + 1), (p, m, deg, ranks)
+            assert rrefs == [], (p, m, deg, rrefs)
+
+
+def test_b_oracle_matches_dft_log_reference_on_large_h0_blocks():
+    # the first, middle and last grading blocks at p = 61, where the chains
+    # reach length 61 and wrap around the 60 weights
+    blocks = list(modrep.iter_h0_blocks(61, 2))
+    for deg, mod in (blocks[0], blocks[len(blocks) // 2], blocks[-1]):
+        mod = restrict_to_b(mod)
+        assert decompose_b_oracle(mod) == _dft_log_b_labels(mod), deg
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_power_stack_of_blocks_matches_dense_powers(data):
+    # a map of weight -2 between g spaces of size D, as blocks and densely:
+    # out[t, k] is the block of M^k into space t from space t + 2k
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    g, D = data.draw(st.sampled_from([1, 2, 4, 6])), data.draw(st.integers(0, 3))
+    count = data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    M = rng.integers(0, p, size=(g, D, D))
+    dense = np.zeros((g * D, g * D), dtype=np.int64)
+    for t in range(g):
+        s = (t + 2) % g
+        dense[s * D : (s + 1) * D, t * D : (t + 1) * D] += M[t]
+    ctx = field(p)
+    out = modrep._power_stack(ctx, M, count)
+    assert out.shape == (g, count, D, D)
+    for k in range(count):
+        Mk = matpow_array(dense % p, k, p)
+        for t in range(g):
+            s = (t + 2 * k) % g
+            assert np.array_equal(out[t, k], Mk[s * D : (s + 1) * D, t * D : (t + 1) * D]), (g, k, t)
+
+
 def test_b_oracle_on_the_zero_module():
     ctx = field(5)
     zero = FqMatrix(ctx, np.zeros((0, 0), dtype=np.int64))
     assert decompose_b_oracle(ModuleRep(ctx, 0, {"u": zero, "t": zero}).validate()) == {}
+
+
+def test_b_oracle_counts_the_zero_module_from_empty_blocks(monkeypatch):
+    # the zero module takes the same path as any other: weight spaces padded
+    # to D = 0, one rank call on the empty blocks, and no error raised
+    ranks = []
+
+    def counted(A, p):
+        ranks.append(A.shape)
+        return rank_array(A, p)
+
+    def fail(*args):
+        raise AssertionError("the zero module must pass the checks")
+
+    monkeypatch.setattr(modrep, "rank_array", counted)
+    monkeypatch.setattr(modrep, "_weight_error", fail)
+    for p in (3, 5, 13):
+        ctx = field(p)
+        zero = FqMatrix(ctx, np.zeros((0, 0), dtype=np.int64))
+        ranks.clear()
+        assert decompose_b_oracle(ModuleRep(ctx, 0, {"u": zero, "t": zero})) == {}
+        assert ranks == [(p - 1, p + 1, 0, 0)], (p, ranks)
 
 
 def test_b_oracle_rejects_torus_without_weight_basis():
