@@ -15,13 +15,13 @@ The action preserves the grading (i + j) mod (q + 1), and the canonical order
 keeps each of its q + 1 blocks contiguous.  action_blocks yields the blocks
 of several group elements one nonempty block at a time, degree by degree
 from linear_form_powers (the images x^i y^j -> (alpha x + beta y)^i
-(gamma x + delta y)^j of the basis monomials only, computed with FieldCtx
-array ops in int64 and held in the least dtype) and the stacked reductions
-of each block's monomials, which do not depend on the group element and are
-computed once per BasisSet (BasisSet.block_reductions); block_action_matrices
-and action_matrix are its views for one element.  Below degree q every
-monomial is a basis monomial, so the same powers give modrep's simple
-modules V_t = Sym^(t-1).
+(gamma x + delta y)^j of the basis monomials only, each degree computed with
+FieldCtx array ops in int64 and held in the least dtype as soon as it is
+made) and the stacked reductions of each block's monomials, which do not
+depend on the group element and are computed once per BasisSet
+(BasisSet.block_reductions); block_action_matrices and action_matrix are its
+views for one element.  Below degree q every monomial is a basis monomial, so
+the same powers give modrep's simple modules V_t = Sym^(t-1).
 """
 
 from __future__ import annotations
@@ -271,11 +271,14 @@ def linear_form_powers(sigma, top):
     j = d once d >= q.  That row holds (alpha x + beta y)^(d-j)
     (gamma x + delta y)^j, column k its coefficient of x^(d-k) y^k.  The rows
     of entry d + 1 are the first min(d, q-1) + 1 rows of entry d times
-    (alpha x + beta y), then the last row of entry d times (gamma x + delta y)."""
+    (alpha x + beta y), then the last row of entry d times (gamma x + delta y).
+    Each step runs in int64, and its result is held in the least dtype that
+    holds q - 1 as soon as it is made."""
     ctx = sigma.ctx
+    small = np.min_scalar_type(ctx.q - 1)  # residues, kept in the least dtype
     alpha, beta, gamma, delta = (e.val for e in sigma.entries())
     neg_beta, neg_delta = ctx.neg(np.array([beta, delta]))
-    powers = [np.ones((1, 1), dtype=np.int64)]
+    powers = [np.ones((1, 1), dtype=small)]
     for d in range(1, top + 1):
         prev = np.vstack([powers[-1][: ctx.q], powers[-1][-1:]])
         rows = len(prev)
@@ -284,7 +287,7 @@ def linear_form_powers(sigma, top):
         nxt = np.zeros((rows, d + 1), dtype=np.int64)
         nxt[:, :d] = ctx.mul(x_coeff, prev)
         nxt[:, 1:] = ctx.submul(nxt[:, 1:], neg_y_coeff, prev)
-        powers.append(nxt)
+        powers.append(nxt.astype(small))
     return powers
 
 
@@ -303,20 +306,16 @@ def action_blocks(elements, basis):
     The rows of total degree d are the linear-form powers of degree d, one
     per basis monomial, times the stacked reductions of the d + 1 monomials
     of that degree: one product per total degree.  One linear_form_powers per
-    element serves every block, held in the least dtype that holds q - 1
-    while the blocks are taken; the reductions do not depend on the element,
-    and basis.block_reductions computes them once per basis.
+    element, in the least dtype that holds q - 1, serves every block; the
+    reductions do not depend on the element, and basis.block_reductions
+    computes them once per basis.
     """
     for sigma in elements:
         if (sigma.ctx.p, sigma.ctx.r) != (basis.p, basis.r):
             raise ValueError(
                 f"group element over GF({sigma.ctx.q}) does not match basis over GF({basis.q})"
             )
-    small = np.min_scalar_type(basis.q - 1)  # residues, kept in the least dtype
-    powers = [
-        [rows.astype(small) for rows in linear_form_powers(sigma, basis.max_total)]
-        for sigma in elements
-    ]
+    powers = [linear_form_powers(sigma, basis.max_total) for sigma in elements]
     for deg, size, parts in basis.block_reductions:
         blocks = []
         for sigma, pw in zip(elements, powers):

@@ -7,18 +7,19 @@ c_0 + c_1*p + ... + c_{r-1}*p^{r-1}; matrices store packed values in a dense
 integer array.
 
 Row reduction, rank, kernel, inverse and power are written once, over four
-packed-array ops of FieldCtx (submul, mul, neg, matmul), the only array code
-that depends on r.  Rank has its own elimination, over leading batch axes
+packed-array ops of FieldCtx (submul, mul, neg, matmul), the only code that
+depends on r.  Rank has its own elimination, over leading batch axes
 as matmul has: per column, each matrix of a stack picks a pivot row and
 clears the column from its other unused rows by a Y - b P, with no inverse,
 so a stack of many small matrices costs one vectorised step per column.
-For r = 1 the scalar ops, submul, mul and neg are plain mod-p integer code.
-For r > 1 the ADD/MUL/NEG lookup tables of FieldCtx.tables, built with numpy
-from the modulus, define them: the scalar ops (padd, pneg, pmul) and submul,
-mul and neg index them.  matmul sums the r products A_k @ (B * x^k) over the
-digit planes A_k of A, with the shifts B * x^k from FieldCtx._shifts, which
-also builds the MUL table.  Tables are built only for q <= TABLE_MAX_Q =
-2048; a larger field raises ValueError.
+For r = 1, submul, mul and neg are plain mod-p integer code.  For r > 1 they
+index the ADD/MUL/NEG lookup tables of FieldCtx.tables, built with numpy from
+the modulus.  They take scalars as well as arrays, so FqElem arithmetic and
+FieldCtx.ppow run through them too; pinv is pow for r = 1 and a power for
+r > 1.  matmul sums the r products A_k @ (B * x^k) over the digit planes A_k
+of A, with the shifts B * x^k from FieldCtx._shifts, which also builds the
+MUL table.  Tables are built only for q <= TABLE_MAX_Q = 2048; a larger
+field raises ValueError.
 The *_array functions are the prime-field entry points on plain residue
 arrays.  Two of them exist over the prime field only, and together they
 count eigenvalues with no polynomial division.  charpoly_array reduces a
@@ -63,11 +64,9 @@ __all__ = [
     "FqElem",
     "FqMatrix",
     "make_field",
-    "inv",
     "rref",
     "kernel_basis",
     "rank",
-    "rank_of_power",
     "rref_array",
     "kernel_array",
     "rank_array",
@@ -211,32 +210,14 @@ class FieldCtx:
         """Digits of packed values along a new trailing axis of length r."""
         return np.asarray(X, dtype=np.int64)[..., None] // self._place % self.p
 
-    def padd(self, a, b):
-        if self.r == 1:
-            return (a + b) % self.p
-        return int(self.tables[0][a, b])
-
-    def pneg(self, a):
-        if self.r == 1:
-            return (-a) % self.p
-        return int(self.tables[2][a])
-
-    def psub(self, a, b):
-        return self.padd(a, self.pneg(b))
-
-    def pmul(self, a, b):
-        if self.r == 1:
-            return a * b % self.p
-        return int(self.tables[1][a, b])
-
     def ppow(self, a, n):
         if n < 0:
             return self.ppow(self.pinv(a), -n)
         result, base = self.pack([1]), a
         while n:
             if n & 1:
-                result = self.pmul(result, base)
-            base = self.pmul(base, base)
+                result = int(self.mul(result, base))
+            base = int(self.mul(base, base))
             n >>= 1
         return result
 
@@ -398,6 +379,10 @@ class FqElem:
     def is_zero(self):
         return self.val == 0
 
+    def _new(self, v):
+        # a table lookup gives a numpy integer; the packed value is an int
+        return FqElem(self.ctx, int(v))
+
     def _coerce(self, other):
         if isinstance(other, FqElem):
             if other.ctx != self.ctx:
@@ -411,18 +396,18 @@ class FqElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx.padd(self.val, other.val))
+        return self._new(self.ctx.submul(self.val, self.ctx.neg(1), other.val))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FqElem(self.ctx, self.ctx.pneg(self.val))
+        return self._new(self.ctx.neg(self.val))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx.psub(self.val, other.val))
+        return self._new(self.ctx.submul(self.val, 1, other.val))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -431,7 +416,7 @@ class FqElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx.pmul(self.val, other.val))
+        return self._new(self.ctx.mul(self.val, other.val))
 
     __rmul__ = __mul__
 
@@ -439,7 +424,7 @@ class FqElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx.pmul(self.val, self.ctx.pinv(other.val)))
+        return self._new(self.ctx.mul(self.val, self.ctx.pinv(other.val)))
 
     def __pow__(self, n):
         return FqElem(self.ctx, self.ctx.ppow(self.val, n))
@@ -460,12 +445,6 @@ class FqElem:
         if self.ctx.r == 1:
             return str(self.val)
         return repr(self.coeffs)
-
-
-def inv(ctx, e):
-    """Multiplicative inverse; ZeroDivisionError on zero."""
-    e = ctx.element(e)
-    return e.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +761,7 @@ class FqMatrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return FqMatrix(self.ctx, self.ctx.submul(self.data, self.ctx.pneg(1), other.data))
+        return FqMatrix(self.ctx, self.ctx.submul(self.data, self.ctx.neg(1), other.data))
 
     def __sub__(self, other):
         self._same_shape(other)
@@ -817,11 +796,3 @@ def kernel_basis(m):
     """FqMatrix whose columns span the right null space of m."""
     return FqMatrix(m.ctx, _kernel(m.ctx, m.data.copy()))
 
-
-def rank_of_power(m, k):
-    """rank(m^k) for square m; k = 0 gives the full dimension."""
-    if m.rows != m.cols:
-        raise ValueError("rank_of_power needs a square matrix")
-    if k < 0:
-        raise ValueError("power must be non-negative")
-    return rank(m**k)

@@ -30,20 +30,20 @@ chain vectors of weight c with at least k below them, so the chains of
 length s whose top has weight c number
 r_c(s-1) - r_{c+2}(s) - r_c(s) + r_{c+2}(s+1), and every r_c(k) comes from
 one batched rank_array call.  U_{a,b} is built in its weight basis too.
-Induction is realized through an explicit coset transversal: its coset
-bookkeeping depends on the field and the transversal alone, so it is a table
-built once per pair, and each generator's p + 1 blocks come from one
-batched product (FieldCtx.matmul takes leading batch axes).  Composition
-factors over the full group come from Brauer characters: every p-regular
-element of SL2(p) is conjugate into the split torus <t> or a non-split torus
-<c>, so eigenvalue counts of rho(t) and rho(c) fix the factors, solved
-against the same counts of V_1..V_p.  Both operators are semisimple, so each
-count is the multiplicity of a known root of a characteristic polynomial
-mod p: of zeta^a for rho(t), and of a trace tau_k in F_p for
-rho(c) + rho(c)^-1, whose eigenvalue tau_k pairs the Frobenius conjugates
-lambda^k, lambda^-k of rho(c).  ff.root_multiplicities reads all of them
-from Hasse derivatives with one product per operator and no polynomial
-division.  verify_full and cartan_check use them; the iterated-socle oracle
+Induction is realized through the default coset transversal: its coset
+bookkeeping depends on the field alone, so it is a table built once per
+field, and each generator's p + 1 blocks come from one batched product
+(FieldCtx.matmul takes leading batch axes).  Composition factors over the
+full group come from Brauer characters: every p-regular element of SL2(p) is
+conjugate into the split torus <t> or a non-split torus <c>, so eigenvalue
+counts of rho(t) and rho(c) fix the factors, solved against the same counts
+of V_1..V_p, which are built, counted and dropped one at a time.  Both
+operators are semisimple, so each count is the multiplicity of a known root
+of a characteristic polynomial mod p: of zeta^a for rho(t), and of a trace
+tau_k in F_p for rho(c) + rho(c)^-1, whose eigenvalue tau_k pairs the
+Frobenius conjugates lambda^k, lambda^-k of rho(c).  ff.root_multiplicities
+reads all of them from Hasse derivatives with one product per operator and
+no polynomial division.  verify_full and cartan_check use them; the iterated-socle oracle
 comp_factors_oracle, whose socle quotients are reductions modulo the socle's
 rref rows, is kept as the small-size cross-check.  The Cartan
 system ties the correspondent factor tables back to oracle counts.  All
@@ -98,7 +98,6 @@ __all__ = [
     "u_gen",
     "t_gen",
     "w_gen",
-    "enumerate_group",
     "h0_module",
     "iter_h0_blocks",
     "h0_blocks",
@@ -118,7 +117,6 @@ __all__ = [
     "verify_full",
 ]
 
-ENUM_GROUP_GUARD = 13
 COMP_FACTOR_GUARD = 400
 ORACLE_WORK_GUARD = 6 * 10**10  # iter_h0_blocks' limit on _oracle_work
 
@@ -221,30 +219,6 @@ class CompFactorVector:
         return self
 
 
-def enumerate_group(p, force=False):
-    """All of SL2(F_p), count p(p^2 - 1); guarded to desk scale."""
-    if p > ENUM_GROUP_GUARD and not force:
-        raise GuardError(
-            f"enumerate_group is sized for p <= {ENUM_GROUP_GUARD}; "
-            "pass force=True to override"
-        )
-    ctx = make_field(p)
-    els = [ctx.element(v) for v in range(p)]
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                if a:
-                    d = (1 + b * c) * pow(a, p - 2, p) % p
-                    out.append(GroupElement(els[a], els[b], els[c], els[d]))
-                elif b * c % p == p - 1:
-                    for d in range(p):
-                        out.append(GroupElement(els[a], els[b], els[c], els[d]))
-    if len(out) != p * (p * p - 1):
-        raise InconsistencyError("group enumeration miscounted")
-    return out
-
-
 def h0_module(p, m):
     """The space of holomorphic m-differentials as an explicit G-module."""
     ctx = make_field(p)
@@ -317,14 +291,14 @@ def simple_module(t, p):
 
 
 def _simple_modules(ctx, top):
-    """V_1 .. V_top, validated, from one linear_form_powers(g, top - 1) per
-    generator: its entry d, widened to int64 by FqMatrix, is rho(g) on
-    V_(d+1), about top^3 / 3 residues per generator in all."""
+    """V_1 .. V_top, validated, yielded one at a time from one
+    linear_form_powers(g, top - 1) per generator: its entry d, widened to
+    int64 by FqMatrix, is rho(g) on V_(d+1).  The powers hold about top^3 / 3
+    residues per generator in the least dtype, and only the simple in hand is
+    widened."""
     powers = {name: linear_form_powers(g, top - 1) for name, g in _generators(ctx).items()}
-    return [
-        ModuleRep(ctx, t, {name: FqMatrix(ctx, powers[name][t - 1]) for name in powers}).validate()
-        for t in range(1, top + 1)
-    ]
+    for t in range(1, top + 1):
+        yield ModuleRep(ctx, t, {name: FqMatrix(ctx, powers[name][t - 1]) for name in powers}).validate()
 
 
 def uab_module(a, b, p):
@@ -727,22 +701,14 @@ def _coset_key(g):
 
 
 @lru_cache(maxsize=None)
-def _coset_table(ctx, reps):
-    """The coset bookkeeping of induce_to_g, which depends on the field and
-    the transversal alone: for each generator name, arrays (j, e, n) with
-    g_i g = t^e u^n g_j for i = 0..p.  reps is a tuple of representatives,
-    or None for default_transversal.  A bad transversal raises, and since
-    lru_cache keeps only returned values, it raises on every call."""
+def _coset_table(ctx):
+    """The coset bookkeeping of induce_to_g, which depends on the field
+    alone: for each generator name, arrays (j, e, n) with
+    g_i g = t^e u^n g_j for i = 0..p, over the representatives g_i of
+    default_transversal."""
     p = ctx.p
-    reps = tuple(default_transversal(ctx)) if reps is None else reps
-    if len(reps) != p + 1:
-        raise ValueError(f"transversal must have {p + 1} representatives")
-    keymap = {}
-    for j, rep in enumerate(reps):
-        key = _coset_key(rep)
-        if key in keymap:
-            raise ValueError("transversal representatives share a coset")
-        keymap[key] = j
+    reps = default_transversal(ctx)
+    keymap = {_coset_key(rep): j for j, rep in enumerate(reps)}
     table = {}
     for name, g in _generators(ctx).items():
         J, E, N = (np.empty(p + 1, dtype=np.intp) for _ in range(3))
@@ -759,22 +725,20 @@ def _coset_table(ctx, reps):
     return table
 
 
-def induce_to_g(mod, p=None, transversal=None):
+def induce_to_g(mod):
     """Induce a B-module to G with permutation-with-cocycle block matrices.
 
     Basis vectors are pairs (coset index, module coordinate); for each
     generator g and representative g_i, write g_i g = b g_j with b in B,
     factor b = t^e u^n, and install rho(t)^e rho(u)^n as block (i, j).
-    The pairs (j, e, n) come from _coset_table, built once per field and
-    transversal; the p + 1 blocks of a generator are one batched product.
+    The pairs (j, e, n) come from _coset_table, built once per field; the
+    p + 1 blocks of a generator are one batched product.
     """
     if mod.group != "B":
         raise ValueError("induce_to_g expects a B-module")
     ctx = mod.field
-    if p is not None and p != ctx.p:
-        raise ValueError(f"module is over GF({ctx.p}), not GF({p})")
     p = ctx.p
-    table = _coset_table(ctx, None if transversal is None else tuple(transversal))
+    table = _coset_table(ctx)
     arr = mod.arrays()
     tpow = _power_stack(ctx, arr["t"], p - 1)  # rho(t)^0 .. rho(t)^(p-2)
     upow = _power_stack(ctx, arr["u"], p)  # rho(u)^0 .. rho(u)^(p-1)

@@ -413,6 +413,17 @@ def test_block_reductions_are_computed_once_per_basis(monkeypatch):
     assert calls
 
 
+def _expand(sigma, d, j):
+    """The coefficients of x^(d-k) y^k, k = 0..d, in (alpha x + beta y)^(d-j)
+    (gamma x + delta y)^j, by FqElem arithmetic."""
+    ctx = sigma.ctx
+    poly = [ctx.one]
+    for a, b in [(sigma.alpha, sigma.beta)] * (d - j) + [(sigma.gamma, sigma.delta)] * j:
+        shifted = [ctx.zero] + poly
+        poly = [x + b * y for x, y in zip([a * c for c in poly] + [ctx.zero], shifted)]
+    return [e.val for e in poly]
+
+
 def test_linear_form_powers_keep_only_basis_monomial_rows():
     # entry d: one row per basis monomial x^(d-j) y^j, j <= min(d, q-1), then
     # j = d once d >= q, each the expansion of (a x + b y)^(d-j) (c x + d y)^j
@@ -430,16 +441,29 @@ def test_linear_form_powers_keep_only_basis_monomial_rows():
             assert rows.shape == (len(js), d + 1), (q, d)
             assert len(js) == sum(ix.i + ix.j == d for ix in basis)
             for row, j in zip(rows.tolist(), js):
-                poly = [ctx.one]  # coefficients of x^(e-k) y^k, k = 0..e
-                for a, b in [(sigma.alpha, sigma.beta)] * (d - j) + [(sigma.gamma, sigma.delta)] * j:
-                    shifted = [ctx.zero] + poly
-                    poly = [x + b * y for x, y in zip([a * c for c in poly] + [ctx.zero], shifted)]
-                assert row == [e.val for e in poly], (q, d, j)
+                assert row == _expand(sigma, d, j), (q, d, j)
+
+
+def test_linear_form_powers_are_held_in_the_least_dtype():
+    # each degree is made in int64 and held in min_scalar_type(q - 1) as soon
+    # as it is made: uint8 up to q = 256, uint16 at q = 257, where a residue
+    # times a uint8 or uint16 array would overflow if the step ran in it
+    rng = random.Random(26)
+    for p, r, top in [(7, 1, 15), (3, 2, 28), (3, 3, 50), (257, 1, 6)]:
+        ctx = field(p, r)
+        sigma = random_sl2(ctx, rng)
+        powers = linear_form_powers(sigma, top)
+        small = np.min_scalar_type(ctx.q - 1)
+        assert small == (np.uint16 if ctx.q > 256 else np.uint8)
+        assert [rows.dtype for rows in powers] == [small] * (top + 1), ctx.q
+        js = list(range(min(top, ctx.q - 1) + 1)) + ([top] if top >= ctx.q else [])
+        for row, j in zip(powers[top].tolist(), js):
+            assert row == _expand(sigma, top, j), (ctx.q, j)
 
 
 def test_action_blocks_hold_the_powers_in_the_least_dtype():
-    # linear_form_powers computes in int64; the powers that serve every block
-    # are held in the least dtype that holds q - 1 while the blocks are taken
+    # the powers that serve every block are held in the least dtype that
+    # holds q - 1 while the blocks are taken
     for q, m in [(7, 3), (9, 2), (27, 2)]:
         basis = enumerate_basis(q, m)
         ctx = field(basis.p, basis.r)

@@ -14,7 +14,6 @@ from drinfeld.ff import (
     _charpoly,
     _poly_rem,
     charpoly_array,
-    inv,
     inv_array,
     kernel_array,
     kernel_basis,
@@ -22,7 +21,6 @@ from drinfeld.ff import (
     matpow_array,
     rank,
     rank_array,
-    rank_of_power,
     root_multiplicities,
     rref,
     rref_array,
@@ -76,18 +74,18 @@ def test_modulus_has_no_roots_in_prime_field():
 
 def test_inv_examples():
     ctx5 = make_field(5)
-    assert inv(ctx5, ctx5.element(2)) == ctx5.element(3)
+    assert ctx5.element(2).inverse() == ctx5.element(3)
     ctx7 = make_field(7)
-    assert inv(ctx7, ctx7.element(1)) == ctx7.element(1)
+    assert ctx7.element(1).inverse() == ctx7.element(1)
     ctx9 = make_field(3, 2)
     x = ctx9.element([0, 1])
-    assert inv(ctx9, x) == ctx9.element([0, 2])
+    assert x.inverse() == ctx9.element([0, 2])
 
 
 def test_inv_of_zero_raises():
     ctx = make_field(5)
     with pytest.raises(ZeroDivisionError):
-        inv(ctx, ctx.zero)
+        ctx.zero.inverse()
 
 
 def test_multiplicative_group_axioms_random_trials():
@@ -100,7 +98,7 @@ def test_multiplicative_group_axioms_random_trials():
         b = ctx.random_element(rng)
         if a.is_zero() or b.is_zero():
             continue
-        assert (a * b) * inv(ctx, b) == a
+        assert (a * b) * b.inverse() == a
         trials += 1
 
 
@@ -177,7 +175,7 @@ def test_tables_refuse_fields_above_the_bound():
     with pytest.raises(ValueError, match="q <= 2048"):
         ctx.tables
     with pytest.raises(ValueError, match="q <= 2048"):
-        ctx.pmul(1, 1)
+        ctx.mul(1, 1)
 
 
 # -- array-level linear algebra ---------------------------------------------
@@ -270,19 +268,19 @@ def test_fqmatrix_takes_ownership_of_an_int64_array():
 def test_rank_of_power_jordan_block():
     ctx = make_field(3)
     J = FqMatrix(ctx, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
-    assert rank_of_power(J, 1) == 2
-    assert rank_of_power(J, 2) == 1
-    assert rank_of_power(J, 3) == 0
+    assert rank(J**1) == 2
+    assert rank(J**2) == 1
+    assert rank(J**3) == 0
     eye = FqMatrix.identity(ctx, 3)
     for k in (0, 1, 5):
-        assert rank_of_power(eye, k) == 3
-    assert rank_of_power(J, 0) == 3
+        assert rank(eye**k) == 3
+    assert rank(J**0) == 3
 
 
 def test_rank_of_power_requires_square():
     ctx = make_field(3)
     with pytest.raises(ValueError):
-        rank_of_power(FqMatrix.zeros(ctx, 2, 3), 1)
+        rank(FqMatrix.zeros(ctx, 2, 3) ** 1)
 
 
 def test_matpow_makes_only_the_binary_powering_products(monkeypatch):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -24,8 +25,8 @@ from drinfeld.ff import (
     inv_array,
     kernel_array,
     matpow_array,
+    rank,
     rank_array,
-    rank_of_power,
     rref_array,
 )
 from drinfeld.modrep import (
@@ -38,7 +39,6 @@ from drinfeld.modrep import (
     decompose_b_oracle,
     default_transversal,
     direct_sum,
-    enumerate_group,
     h0_blocks,
     h0_module,
     hom_dim,
@@ -51,29 +51,6 @@ from drinfeld.modrep import (
     w_gen,
 )
 from helpers import bdec, division_brauer_counts, field, h0, h0_b_oracle, h0_factors_oracle, verify_report
-
-
-# -- group enumeration ---------------------------------------------------------
-
-
-def test_enumerate_group_counts():
-    for p, n in [(3, 24), (5, 120), (7, 336)]:
-        elems = enumerate_group(p)
-        assert len(elems) == n
-        assert len(set(elems)) == n
-
-
-def test_enumerate_group_contains_generators():
-    elems = set(enumerate_group(5))
-    ctx = field(5)
-    for g in (GroupElement.identity(ctx), u_gen(ctx), t_gen(ctx), w_gen(ctx)):
-        assert g in elems
-
-
-def test_enumerate_group_guard():
-    with pytest.raises(GuardError):
-        enumerate_group(17)
-    assert len(enumerate_group(17, force=True)) == 17 * (17**2 - 1)
 
 
 # -- module constructors ---------------------------------------------------------
@@ -107,7 +84,7 @@ def test_steinberg_unipotent_is_single_jordan_block():
     st = simple_module(3, 3)
     ctx = field(3)
     N = st.gens["u"] - FqMatrix.identity(ctx, 3)
-    assert [rank_of_power(N, k) for k in (1, 2, 3)] == [2, 1, 0]
+    assert [rank(N**k) for k in (1, 2, 3)] == [2, 1, 0]
 
 
 def test_simple_module_range():
@@ -119,17 +96,34 @@ def test_simple_module_range():
 
 def test_simples_from_one_power_build_match_each_simple():
     # V_1..V_p from one linear_form_powers(g, p - 1) per generator, byte for
-    # byte the matrices of simple_module(t, p) and of their definition
+    # byte the matrices of simple_module(t, p) and of their definition, which
+    # linear_form_powers holds in the least dtype and FqMatrix widens to int64
     for p in (3, 5, 7, 11, 13):
         ctx = field(p)
-        shared = modrep._simple_modules(ctx, p)
+        shared = list(modrep._simple_modules(ctx, p))
         assert [V.dim for V in shared] == list(range(1, p + 1))
         for t, V in enumerate(shared, 1):
             alone = simple_module(t, p)
             for name, g in (("u", u_gen(ctx)), ("t", t_gen(ctx)), ("w", w_gen(ctx))):
-                own = linear_form_powers(g, t - 1)[-1]
+                own = linear_form_powers(g, t - 1)[-1].astype(np.int64)
                 for X in (V.gens[name].data, alone.gens[name].data):
                     assert X.dtype == own.dtype and X.tobytes() == own.tobytes(), (p, t, name)
+
+
+def test_count_solver_holds_one_simple_at_a_time(monkeypatch):
+    # _simple_modules yields V_1..V_p in turn, so when V_t is counted no
+    # earlier simple is alive
+    seen = []
+    counts = modrep._brauer_counts
+
+    def counted(V):
+        assert [ref() for ref in seen] == [None] * len(seen), V.dim
+        seen.append(weakref.ref(V))
+        return counts(V)
+
+    monkeypatch.setattr(modrep, "_brauer_counts", counted)
+    modrep._count_solver.__wrapped__(13)
+    assert len(seen) == 13
 
 
 def test_simple_module_validates_only_the_simple_it_builds(monkeypatch):
@@ -162,7 +156,7 @@ def test_uab_projective_is_full_jordan_block():
         mod = uab_module(0, p, p)
         ctx = field(p)
         N = mod.gens["u"] - FqMatrix.identity(ctx, p)
-        assert [rank_of_power(N, k) for k in range(1, p + 1)] == list(
+        assert [rank(N**k) for k in range(1, p + 1)] == list(
             range(p - 1, -1, -1)
         )
 
@@ -659,40 +653,7 @@ def test_b_oracle_builds_one_power_stack_on_h0_blocks(monkeypatch):
         assert calls == [12], (deg, calls)  # the blocks of N_1^0 .. N_1^p
 
 
-def test_b_oracle_makes_no_projector_elimination_on_h0_blocks(monkeypatch):
-    calls = []
-
-    def counted(A, p):
-        calls.append(A.shape)
-        return rref_array(A, p)
-
-    monkeypatch.setattr(modrep, "rref_array", counted)
-    for p, m in [(7, 4), (13, 3)]:
-        for deg, mod in h0_blocks(p, m).items():
-            calls.clear()
-            lengths = {lab.b for lab in decompose_b_oracle(restrict_to_b(mod))}
-            assert len(calls) <= 2 * len(lengths), (p, m, deg, len(calls), sorted(lengths))
-
-
-def test_b_oracle_makes_two_eliminations_per_chain_length(monkeypatch):
-    # one rref per weight projector, then two per distinct chain length: none
-    # per power of L
-    calls = []
-
-    def counted(A, p):
-        calls.append(A.shape)
-        return rref_array(A, p)
-
-    monkeypatch.setattr(modrep, "rref_array", counted)
-    p = 13
-    for deg, mod in h0_blocks(p, 3).items():
-        calls.clear()
-        labels = decompose_b_oracle(restrict_to_b(mod))
-        lengths = {lab.b for lab in labels}
-        assert len(calls) <= (p - 1) + 2 * len(lengths), (deg, len(calls), sorted(lengths))
-
-
-def test_b_oracle_takes_the_weight_basis_inverse_from_the_projectors(monkeypatch):
+def test_b_oracle_inverts_no_weight_basis_on_h0_blocks(monkeypatch):
     def fail(*args):
         raise AssertionError("decompose_b_oracle must not invert its weight basis")
 
@@ -1442,26 +1403,7 @@ def test_mackey_restriction_of_induced_uab_grid():
                 assert got == dict(want), (p, a, b)
 
 
-def test_induce_transversal_invariance():
-    ctx = field(5)
-    reps = default_transversal(ctx)
-    shuffled = [reps[3], reps[0], reps[5], reps[1], reps[4], reps[2]]
-    a, b = 1, 2
-    base = comp_factors_oracle(induce_to_g(uab_module(a, b, 5)))
-    alt = comp_factors_oracle(induce_to_g(uab_module(a, b, 5), transversal=shuffled))
-    assert base.mult == alt.mult
-
-
 def test_induce_transversal_validation():
-    mod = uab_module(0, 1, 3)
-    ctx = field(3)
-    reps = default_transversal(ctx)
-    with pytest.raises(ValueError):
-        induce_to_g(mod, transversal=reps[:-1])
-    with pytest.raises(ValueError):
-        induce_to_g(mod, transversal=reps[:-1] + [reps[0]])
-    with pytest.raises(ValueError):
-        induce_to_g(mod, p=5)
     with pytest.raises(ValueError):
         induce_to_g(h0(3, 2))
 
@@ -1497,22 +1439,18 @@ def _reference_induce_gens(mod, reps):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_induce_matches_per_call_bookkeeping(p):
     reps = default_transversal(field(p))
-    transversals = [None]
-    if p == 5:  # the shuffle of test_induce_transversal_invariance
-        transversals.append([reps[3], reps[0], reps[5], reps[1], reps[4], reps[2]])
-    for transversal in transversals:
-        for a in range(p - 1):
-            for b in range(1, p + 1):
-                mod = uab_module(a, b, p)
-                got = induce_to_g(mod, transversal=transversal).arrays()
-                want = _reference_induce_gens(mod, reps if transversal is None else transversal)
-                for name in ("u", "t", "w"):
-                    assert got[name].dtype == want[name].dtype
-                    assert got[name].shape == want[name].shape
-                    assert got[name].tobytes() == want[name].tobytes(), (a, b, name)
+    for a in range(p - 1):
+        for b in range(1, p + 1):
+            mod = uab_module(a, b, p)
+            got = induce_to_g(mod).arrays()
+            want = _reference_induce_gens(mod, reps)
+            for name in ("u", "t", "w"):
+                assert got[name].dtype == want[name].dtype
+                assert got[name].shape == want[name].shape
+                assert got[name].tobytes() == want[name].tobytes(), (a, b, name)
 
 
-def test_coset_table_is_built_once_per_transversal(monkeypatch):
+def test_coset_table_is_built_once_per_field(monkeypatch):
     calls = Counter()
     mul = GroupElement.__mul__
 
@@ -1527,18 +1465,6 @@ def test_coset_table_is_built_once_per_transversal(monkeypatch):
     calls.clear()
     induce_to_g(uab_module(2, 5, 7))
     assert calls["mul"] == 0
-    # a failed build is not cached: the bad transversals of
-    # test_induce_transversal_validation raise on every call
-    mod = uab_module(0, 1, 3)
-    reps = default_transversal(field(3))
-    bad = [
-        (reps[:-1], "must have 4 representatives"),
-        (reps[:-1] + [reps[0]], "share a coset"),
-    ]
-    for transversal, message in bad:
-        for _ in range(2):
-            with pytest.raises(ValueError, match=message):
-                induce_to_g(mod, transversal=transversal)
 
 
 # -- Cartan certificate ----------------------------------------------------------------
