@@ -22,11 +22,8 @@ from .curve import (
     BasisSet,
     GroupElement,
     action_matrix,
-    block_action_matrices,
     dim_h0,
-    enumerate_basis,
     genus,
-    graded_basis,
     reduce_to_basis,
 )
 from .ff import FieldCtx, FqElem, FqMatrix, make_field
@@ -38,7 +35,6 @@ from .modrep import (
     comp_factors_brauer,
     comp_factors_oracle,
     decompose_b_oracle,
-    h0_blocks,
     h0_module,
     hom_dim,
     induce_to_g,
@@ -64,11 +60,8 @@ __all__ = [
     "BasisSet",
     "GroupElement",
     "action_matrix",
-    "block_action_matrices",
     "dim_h0",
-    "enumerate_basis",
     "genus",
-    "graded_basis",
     "reduce_to_basis",
     "FieldCtx",
     "FqElem",
@@ -81,7 +74,6 @@ __all__ = [
     "comp_factors_brauer",
     "comp_factors_oracle",
     "decompose_b_oracle",
-    "h0_blocks",
     "h0_module",
     "hom_dim",
     "induce_to_g",

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,22 +26,6 @@ from .modrep import GuardError
 
 DEFAULT_SWEEP_P = (3, 5, 7)
 DEFAULT_SWEEP_M = (2, 3)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    p: int = 3
-    r: int = 1
-    m: int = 1
-    format: str = "text"
-    group: str = "B"
-    element: tuple = None
-    oracle: bool = False
-    force: bool = False
-    p_values: tuple = DEFAULT_SWEEP_P
-    m_values: tuple = DEFAULT_SWEEP_M
-    out: str = None
 
 
 def _parse_entry(token, ctx):
@@ -57,26 +40,25 @@ def _element_from_tokens(tokens, ctx):
 
 
 # -- document builders (JSON-shaped dicts; other formats project these) ----
+# Each reads the argparse namespace of its command.
 
 
-def _doc_basis(config):
-    make_field(config.p)  # refuses a p that is not an odd prime; builds no tables
-    q = config.p**config.r
-    basis = BasisSet(q, config.m)
+def _doc_basis(args):
+    make_field(args.p)  # refuses a p that is not an odd prime; builds no tables
+    q = args.p**args.r
+    basis = BasisSet(q, args.m)
     rows = [{"i": ix.i, "j": ix.j, "degree": degree(ix, q)} for ix in basis]
-    return 0, {"q": q, "m": config.m, "dim": len(basis), "basis": rows}
+    return 0, {"q": q, "m": args.m, "dim": len(basis), "basis": rows}
 
 
-def _doc_action(config):
-    if config.element is None:
-        raise ValueError("action requires --element a b c d")
-    q = config.p**config.r
-    ctx = make_field(config.p, config.r)
-    sigma = _element_from_tokens(config.element, ctx)
-    check_action_dim(dim_h0(q, config.m))  # closed form: refuse before any basis
-    mat = action_matrix(sigma, BasisSet(q, config.m))
+def _doc_action(args):
+    q = args.p**args.r
+    ctx = make_field(args.p, args.r)
+    sigma = _element_from_tokens(args.element, ctx)
+    check_action_dim(dim_h0(q, args.m))  # closed form: refuse before any basis
+    mat = action_matrix(sigma, BasisSet(q, args.m))
     element = FqMatrix.from_elems(ctx, [[sigma.alpha, sigma.beta], [sigma.gamma, sigma.delta]])
-    return 0, {"q": q, "p": config.p, "r": config.r, "m": config.m, "element": element, "matrix": mat}
+    return 0, {"q": q, "p": args.p, "r": args.r, "m": args.m, "element": element, "matrix": mat}
 
 
 def _summand_list(mult):
@@ -86,19 +68,17 @@ def _summand_list(mult):
     ]
 
 
-def _doc_decompose(config):
-    if config.r != 1:
-        raise ValueError("decompose requires r = 1 (tables exist only for q = p)")
-    if config.group == "B":
+def _doc_decompose(args):
+    if args.group == "B":
         # the oracle's (m, p) check and size guard first, before the slower
         # closed form; its blocks are built, split and dropped one at a time
-        if config.oracle:
-            closedform._check_pm(config.m, config.p)
-            blocks = modrep.iter_h0_blocks(config.p, config.m, force=config.force)
-        bdec = closedform.b_decomposition(config.m, config.p)
+        if args.oracle:
+            closedform._check_pm(args.m, args.p)
+            blocks = modrep.iter_h0_blocks(args.p, args.m, force=args.force)
+        bdec = closedform.b_decomposition(args.m, args.p)
         doc = {"summands": _summand_list(bdec.mult)}
         status = 0
-        if config.oracle:
+        if args.oracle:
             oracle = modrep.b_labels_by_block(blocks)
             doc["oracle"] = _summand_list(oracle)
             diff = [
@@ -108,9 +88,9 @@ def _doc_decompose(config):
             doc["diff"] = diff
             status = 1 if diff else 0
         return status, doc
-    if config.oracle:
+    if args.oracle:
         raise ValueError("--oracle applies only to --group B")
-    gdec = closedform.g_decomposition(config.m, config.p)
+    gdec = closedform.g_decomposition(args.m, args.p)
     return 0, {
         "summands": _summand_list(gdec.nonproj),
         "projectives": [
@@ -120,10 +100,8 @@ def _doc_decompose(config):
     }
 
 
-def _doc_factors(config):
-    if config.r != 1:
-        raise ValueError("factors requires r = 1 (tables exist only for q = p)")
-    d = closedform.comp_factors_h0(config.m, config.p)
+def _doc_factors(args):
+    d = closedform.comp_factors_h0(args.m, args.p)
     return 0, {"factors": [{"t": t, "d": d[t]} for t in sorted(d)]}
 
 
@@ -139,19 +117,19 @@ def _report_dict(report):
     }
 
 
-def _doc_verify(config):
-    if config.r != 1:
-        raise ValueError("verify requires r = 1 (tables exist only for q = p)")
-    report = modrep.verify_full(config.p, config.m, force=config.force)
+def _doc_verify(args):
+    report = modrep.verify_full(args.p, args.m, force=args.force)
     return (0 if report.all_passed else 1), _report_dict(report)
 
 
-def _doc_sweep(config):
+def _doc_sweep(args):
+    p_values = _int_list("--p-values", args.p_values)
+    m_values = _int_list("--m-values", args.m_values)
     grid = []
     ok = True
-    for p in config.p_values:
-        for m in config.m_values:
-            report = modrep.verify_full(p, m, force=config.force)
+    for p in p_values:
+        for m in m_values:
+            report = modrep.verify_full(p, m, force=args.force)
             ok = ok and report.all_passed
             grid.append(_report_dict(report))
     return (0 if ok else 1), {"grid": grid, "all_passed": ok}
@@ -291,17 +269,20 @@ def _render(command, doc, fmt):
     return _render_text(command, doc)
 
 
-def run(config, stream=None):
-    """Execute one command; emits the rendered document, returns exit status."""
+def run(args, stream=None):
+    """Execute one parsed command (the namespace of build_parser); emits the
+    rendered document, returns exit status."""
     try:
-        status, doc = _BUILDERS[config.command](config)
+        if args.command in ("decompose", "factors", "verify") and args.r != 1:
+            raise ValueError(f"{args.command} requires r = 1 (tables exist only for q = p)")
+        status, doc = _BUILDERS[args.command](args)
     except (ValueError, GuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = _render(config.command, doc, config.format)
-    if config.out:
+    rendered = _render(args.command, doc, args.format)
+    if args.out:
         try:
-            with open(config.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(rendered)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -380,27 +361,8 @@ def _int_list(option, text):
         raise ValueError(f"{option} must be a comma list of integers, got {text!r}") from None
 
 
-def config_from_args(args):
-    cfg = RunConfig(command=args.command)
-    for name in ("p", "r", "m", "format", "group", "element", "oracle", "force", "out"):
-        if hasattr(args, name):
-            value = getattr(args, name)
-            if value is not None:
-                setattr(cfg, name, tuple(value) if name == "element" else value)
-    if args.command == "sweep":
-        cfg.p_values = _int_list("--p-values", args.p_values)
-        cfg.m_values = _int_list("--m-values", args.m_values)
-    return cfg
-
-
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

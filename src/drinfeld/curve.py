@@ -19,8 +19,8 @@ from linear_form_powers (the images x^i y^j -> (alpha x + beta y)^i
 FieldCtx array ops in int64 and held in the least dtype as soon as it is
 made) and the stacked reductions of each block's monomials, which do not
 depend on the group element and are computed once per BasisSet
-(BasisSet.block_reductions); block_action_matrices and action_matrix are its
-views for one element.  Below degree q every monomial is a basis monomial, so
+(BasisSet.block_reductions); action_matrix is their block-diagonal assembly
+for one element.  Below degree q every monomial is a basis monomial, so
 the same powers give modrep's simple modules V_t = Sym^(t-1).
 """
 
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ff import FqMatrix
+from .ff import FqMatrix, _factor
 
 __all__ = [
     "PolyDiffIndex",
@@ -40,15 +40,12 @@ __all__ = [
     "GroupElement",
     "genus",
     "dim_h0",
-    "enumerate_basis",
     "degree",
     "reduce_to_basis",
     "linear_form_powers",
     "check_action_dim",
     "action_blocks",
-    "block_action_matrices",
     "action_matrix",
-    "graded_basis",
 ]
 
 
@@ -59,16 +56,10 @@ ACTION_MAX_CELLS = 2**25
 def _prime_power(q):
     if not isinstance(q, int) or q < 3:
         raise ValueError(f"q must be an odd prime power >= 3, got {q}")
-    p = 2
-    while q % p:
-        p += 1
-    r = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        r += 1
-    if n != 1 or p == 2:
+    factors = _factor(q)
+    if len(factors) != 1 or 2 in factors:
         raise ValueError(f"q must be an odd prime power, got {q}")
+    (p, r), = factors.items()
     return p, r
 
 
@@ -140,7 +131,7 @@ class BasisSet:
         total = np.array(self.indices, dtype=np.int64).sum(axis=1)
         small = np.min_scalar_type(self.p - 1)  # residues, kept in the least dtype
         out, lo = [], 0
-        for deg, size in enumerate(graded_basis(self).sizes()):
+        for deg, size in enumerate(GradedBasis(self).sizes()):
             if not size:
                 continue
             memo, parts = {}, []
@@ -164,11 +155,6 @@ class BasisSet:
 
     def __repr__(self):
         return f"BasisSet(q={self.q}, m={self.m}, dim={len(self)})"
-
-
-def enumerate_basis(q, m):
-    """Construct the canonical BasisSet for (q, m)."""
-    return BasisSet(q, m)
 
 
 def degree(idx, q):
@@ -326,12 +312,6 @@ def action_blocks(elements, basis):
         yield deg, blocks
 
 
-def block_action_matrices(sigma, basis):
-    """Action of sigma on each nonempty grading block, {degree: FqMatrix} in
-    ascending degree: action_blocks for the one element."""
-    return {deg: block for deg, (block,) in action_blocks((sigma,), basis)}
-
-
 def action_matrix(sigma, basis):
     """Matrix of the right action of sigma on the basis (rows are images).
 
@@ -351,7 +331,9 @@ def action_matrix(sigma, basis):
 
 
 class GradedBasis:
-    """Basis indices split into the q + 1 degree blocks (some may be empty)."""
+    """Basis indices split into the q + 1 degree blocks (some may be empty);
+    blocks are contiguous in the canonical ordering, so action matrices are
+    block diagonal."""
 
     def __init__(self, basis):
         self.q = basis.q
@@ -366,9 +348,3 @@ class GradedBasis:
 
     def __repr__(self):
         return f"GradedBasis(q={self.q}, m={self.m}, sizes={self.sizes()})"
-
-
-def graded_basis(basis):
-    """Split a BasisSet by grading degree; blocks are contiguous in the
-    canonical ordering, so action matrices are block diagonal."""
-    return GradedBasis(basis)

@@ -87,15 +87,23 @@ INT64_EXACT = 2**63
 MAX_P = 2**31
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
+def _factor(n):
+    """The prime factorisation {prime: exponent} of an integer n >= 1, by
+    trial division up to the square root of what is left of n."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _is_prime(n):
+    return n >= 2 and _factor(n) == {n: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +153,11 @@ def make_field(p, r=1):
     """Build the field context for GF(p^r).
 
     The modulus is the lexicographically smallest monic irreducible of degree
-    r (coefficients compared low-degree-first) and zeta is the smallest
-    positive primitive root mod p, used for labeling torus eigenvalues.
+    r (coefficients compared low-degree-first), x when r = 1, and zeta is the
+    smallest positive primitive root mod p, used for labeling torus
+    eigenvalues: the least g with g^((p-1)/l) != 1 for every prime l dividing
+    p - 1.  For r = 1 the field takes at most about sqrt(p) trial divisions,
+    so a large prime reaches the size guards of its callers at once.
     """
     if not isinstance(p, int) or not isinstance(r, int):
         raise ValueError("p and r must be integers")
@@ -154,15 +165,12 @@ def make_field(p, r=1):
         raise ValueError(f"p must be an odd prime, got {p}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    zeta = None
-    for g in range(2, p):
-        if all(pow(g, k, p) != 1 for k in range(1, p - 1)):
-            zeta = g
-            break
-    if zeta is None:  # p = 3 gives zeta = 2; every prime has one
-        raise RuntimeError(f"no primitive root found mod {p}")
+    cofactors = [(p - 1) // ell for ell in _factor(p - 1)]
+    zeta = next(g for g in range(2, p) if all(pow(g, k, p) != 1 for k in cofactors))
+    if r == 1:
+        return FieldCtx(p, r, (0, 1), zeta)
     monic = (tail + (1,) for tail in itertools.product(range(p), repeat=r))
-    modulus = next(f for f in monic if _is_irreducible(f, p))  # x when r = 1
+    modulus = next(f for f in monic if _is_irreducible(f, p))
     return FieldCtx(p, r, modulus, zeta)
 
 

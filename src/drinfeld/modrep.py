@@ -100,7 +100,6 @@ __all__ = [
     "w_gen",
     "h0_module",
     "iter_h0_blocks",
-    "h0_blocks",
     "simple_module",
     "uab_module",
     "restrict_to_b",
@@ -122,7 +121,7 @@ ORACLE_WORK_GUARD = 6 * 10**10  # iter_h0_blocks' limit on _oracle_work
 
 
 class GuardError(RuntimeError):
-    """A desk-scale size guard was exceeded; pass force=True to override."""
+    """A desk-scale size guard was exceeded."""
 
 
 def u_gen(ctx):
@@ -273,12 +272,6 @@ def iter_h0_blocks(p, m, force=False):
             yield deg, mod
 
     return validated()
-
-
-def h0_blocks(p, m, force=False):
-    """Every block of iter_h0_blocks at once, {degree: ModuleRep} in ascending
-    degree, behind the same check of the oracle's one size guard."""
-    return dict(iter_h0_blocks(p, m, force=force))
 
 
 def simple_module(t, p):
@@ -562,15 +555,13 @@ def hom_dim(src, dst):
     return len(_hom_basis(src, dst))
 
 
-def comp_factors_oracle(mod, force=False):
-    """Composition factors of a G-module by iterated socle computation."""
+def comp_factors_oracle(mod):
+    """Composition factors of a G-module by iterated socle computation, for
+    dim <= COMP_FACTOR_GUARD."""
     if mod.group != "G":
         raise ValueError("comp_factors_oracle expects a G-module")
-    if mod.dim > COMP_FACTOR_GUARD and not force:
-        raise GuardError(
-            f"comp_factors_oracle is sized for dim <= {COMP_FACTOR_GUARD}; "
-            "pass force=True to override"
-        )
+    if mod.dim > COMP_FACTOR_GUARD:
+        raise GuardError(f"comp_factors_oracle is sized for dim <= {COMP_FACTOR_GUARD}")
     ctx = mod.field
     p = ctx.p
     simples = dict(enumerate(_simple_modules(ctx, p), 1))

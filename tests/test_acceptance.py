@@ -9,7 +9,7 @@ import numpy as np
 
 from drinfeld import closedform, modrep
 from drinfeld.closedform import BLabel
-from drinfeld.curve import action_matrix, dim_h0, enumerate_basis, genus, graded_basis
+from drinfeld.curve import BasisSet, GradedBasis, action_matrix, dim_h0, genus
 from drinfeld.ff import kernel_array, make_field, rank_array
 from helpers import random_sl2
 
@@ -132,8 +132,8 @@ def test_criterion_11_property_suites(criterion):
         plan = [(3, 1, 2, 80), (5, 1, 2, 70), (3, 2, 1, 50)]
         for p, r, m, pairs in plan:
             ctx = make_field(p, r)
-            basis = enumerate_basis(p**r, m)
-            sizes = graded_basis(basis).sizes()
+            basis = BasisSet(p**r, m)
+            sizes = GradedBasis(basis).sizes()
             bounds = np.cumsum([0] + sizes)
             for _ in range(pairs):
                 s, t = random_sl2(ctx, rng), random_sl2(ctx, rng)

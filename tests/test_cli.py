@@ -2,11 +2,12 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
 from drinfeld import cli, closedform, modrep
-from drinfeld.cli import RunConfig, build_parser, config_from_args, main, run
+from drinfeld.cli import build_parser, main, run
 
 GOLDEN_B32 = (
     '{"summands":[{"a":0,"b":1,"mult":1},{"a":1,"b":2,"mult":1},'
@@ -16,8 +17,7 @@ GOLDEN_B32 = (
 
 def _capture(argv):
     buf = io.StringIO()
-    cfg = config_from_args(build_parser().parse_args(argv))
-    status = run(cfg, stream=buf)
+    status = run(build_parser().parse_args(argv), stream=buf)
     return status, buf.getvalue()
 
 
@@ -307,12 +307,21 @@ def test_out_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_run_config_defaults():
-    cfg = RunConfig(command="sweep")
-    assert cfg.p_values == (3, 5, 7) and cfg.m_values == (2, 3)
+def test_parser_sweep_defaults():
+    args = build_parser().parse_args(["sweep"])
+    assert (args.p_values, args.m_values) == ("3,5,7", "2,3")
+    assert (args.format, args.out, args.force) == ("text", None, False)
     buf = io.StringIO()
-    assert run(RunConfig(command="factors", p=3, m=2), stream=buf) == 0
+    assert run(build_parser().parse_args(["factors", "--p", "3", "--m", "2"]), stream=buf) == 0
     assert buf.getvalue() == "d = [1,1,1]\n"
+
+
+def test_table_commands_refuse_r_above_1(capsys):
+    for command in ("decompose", "factors", "verify"):
+        assert main([command, "--p", "3", "--r", "2", "--m", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command} requires r = 1 (tables exist only for q = p)\n"
+        )
 
 
 def test_decompose_oracle_takes_force():
@@ -355,3 +364,22 @@ def test_action_refuses_an_oversize_matrix_before_any_basis(monkeypatch, capsys)
     for p, n in ((1009, 1525605), (30011, 1350945162)):
         assert main(["action", "--p", str(p), "--m", "2", "--element", "1", "1", "0", "1"]) == 2
         assert capsys.readouterr().err == f"error: action matrix of dimension {n} exceeds 33554432 cells\n"
+
+
+def test_a_large_prime_is_refused_at_once(capsys):
+    # the field and dim H0 take about sqrt(p) trial divisions, then a guard refuses
+    guard = (
+        "error: the oracle at p=1000000007, m=2 (dim H0 = 1500000019500000060) is estimated "
+        "at 3.4e+45 multiply-adds, above the limit 6e+10; pass --force (force=True) to override\n"
+    )
+    cases = [
+        (["verify", "--p", "1000000007", "--m", "2"], guard),
+        (["decompose", "--p", "1000000007", "--m", "2", "--oracle"], guard),
+        (["action", "--p", "1000000007", "--m", "2", "--element", "1", "1", "0", "1"],
+         "error: action matrix of dimension 1500000019500000060 exceeds 33554432 cells\n"),
+    ]
+    for argv, err in cases:
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 2, argv
+        assert capsys.readouterr().err == err, argv

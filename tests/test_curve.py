@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from drinfeld import curve
 from drinfeld.curve import (
+    BasisSet,
+    GradedBasis,
     GroupElement,
     PolyDiffIndex,
+    action_blocks,
     action_matrix,
-    block_action_matrices,
     degree,
     dim_h0,
-    enumerate_basis,
     genus,
-    graded_basis,
     linear_form_powers,
     reduce_to_basis,
 )
@@ -55,16 +55,16 @@ def test_invalid_parameters_rejected():
         with pytest.raises(ValueError):
             genus(q)
     with pytest.raises(ValueError):
-        enumerate_basis(3, 0)
+        BasisSet(3, 0)
     with pytest.raises(ValueError):
-        enumerate_basis(3, -1)
+        BasisSet(3, -1)
 
 
 # -- basis enumeration --------------------------------------------------------
 
 
 def test_basis_q3_m2_exact_order():
-    basis = enumerate_basis(3, 2)
+    basis = BasisSet(3, 2)
     assert [tuple(ix) for ix in basis.indices] == [
         (0, 0),
         (1, 0),
@@ -76,12 +76,12 @@ def test_basis_q3_m2_exact_order():
 
 
 def test_basis_q3_m1_exact_order():
-    basis = enumerate_basis(3, 1)
+    basis = BasisSet(3, 1)
     assert [tuple(ix) for ix in basis.indices] == [(0, 0), (1, 0), (0, 1)]
 
 
 def test_basis_q5_m2_membership():
-    basis = enumerate_basis(5, 2)
+    basis = BasisSet(5, 2)
     assert len(basis) == 27
     assert basis.contains(0, 6)  # pure-y index beyond j = q - 1
     assert not basis.contains(1, 5)  # j >= q requires i = 0
@@ -93,12 +93,12 @@ def test_basis_q5_m2_membership():
 def test_basis_count_matches_dimension_sweep():
     for q in (3, 5, 7, 9, 25):
         for m in range(1, 7):
-            assert len(enumerate_basis(q, m)) == dim_h0(q, m)
+            assert len(BasisSet(q, m)) == dim_h0(q, m)
 
 
 def test_basis_sorted_by_degree_then_j_then_i():
     for q, m in [(3, 2), (5, 2), (7, 3), (9, 2)]:
-        basis = enumerate_basis(q, m)
+        basis = BasisSet(q, m)
         keys = [(degree(ix, q), ix.j, ix.i) for ix in basis.indices]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
@@ -120,28 +120,28 @@ def _unit(basis, i, j):
 
 
 def test_reduce_basis_member_is_unit_vector():
-    basis = enumerate_basis(5, 2)
+    basis = BasisSet(5, 2)
     for i, j in [(0, 0), (3, 2), (0, 6)]:
         assert np.array_equal(reduce_to_basis(i, j, basis), _unit(basis, i, j))
 
 
 def test_reduce_example_q5():
-    basis = enumerate_basis(5, 2)
+    basis = BasisSet(5, 2)
     got = reduce_to_basis(1, 5, basis)
     assert np.array_equal(got, _unit(basis, 5, 1) + _unit(basis, 0, 0))
 
 
 def test_reduce_example_q3_needs_m4():
     # w(1,3) has total degree 4: holomorphic once m(q-2) >= 4, not at m = 3
-    basis = enumerate_basis(3, 4)
+    basis = BasisSet(3, 4)
     got = reduce_to_basis(1, 3, basis)
     assert np.array_equal(got, _unit(basis, 3, 1) + _unit(basis, 0, 0))
     with pytest.raises(ValueError):
-        reduce_to_basis(1, 3, enumerate_basis(3, 3))
+        reduce_to_basis(1, 3, BasisSet(3, 3))
 
 
 def test_reduce_rejects_negative_indices():
-    basis = enumerate_basis(3, 2)
+    basis = BasisSet(3, 2)
     with pytest.raises(ValueError):
         reduce_to_basis(-1, 2, basis)
     with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ def test_reduce_rejects_negative_indices():
 
 def test_reduce_preserves_degree():
     for q, m in [(3, 4), (5, 3), (7, 2)]:
-        basis = enumerate_basis(q, m)
+        basis = BasisSet(q, m)
         for i in range(1, basis.max_total + 1):
             for j in range(q, basis.max_total - i + 1):
                 d = degree(PolyDiffIndex(i, j), q)
@@ -166,7 +166,7 @@ def test_reduce_identity_holds_modulo_curve_equation():
     x, y = sympy.symbols("x y")
     for q, m in [(3, 4), (5, 2)]:
         p = 3 if q == 3 else 5
-        basis = enumerate_basis(q, m)
+        basis = BasisSet(q, m)
         curve_rel = sympy.Poly(x * y**q - x**q * y - 1, x, y, modulus=p)
         targets = [
             (i, j)
@@ -206,14 +206,14 @@ def test_group_element_rejects_mixed_fields():
 
 def test_action_identity_is_identity_matrix():
     for q, m in [(3, 2), (5, 2), (9, 1)]:
-        basis = enumerate_basis(q, m)
+        basis = BasisSet(q, m)
         ctx = field(basis.p, basis.r)
         M = action_matrix(GroupElement.identity(ctx), basis)
         assert M == FqMatrix.identity(ctx, len(basis))
 
 
 def test_action_example_q3_m2_unipotent():
-    basis = enumerate_basis(3, 2)
+    basis = BasisSet(3, 2)
     ctx = field(3)
     u = GroupElement.from_values(ctx, 1, 1, 0, 1)
     M = action_matrix(u, basis)
@@ -230,7 +230,7 @@ def test_action_example_q3_m2_unipotent():
 
 
 def test_action_field_mismatch_rejected():
-    basis = enumerate_basis(3, 2)
+    basis = BasisSet(3, 2)
     with pytest.raises(ValueError):
         action_matrix(GroupElement.identity(field(5)), basis)
 
@@ -241,7 +241,7 @@ def test_action_is_group_homomorphism_random():
         p, r = (3, 1) if q == 3 else (5, 1) if q == 5 else (3, 2)
         ctx = field(p, r)
         for m in (1, 2, 3):
-            basis = enumerate_basis(q, m)
+            basis = BasisSet(q, m)
             eye = FqMatrix.identity(ctx, len(basis))
             for _ in range(6):
                 s = random_sl2(ctx, rng)
@@ -282,7 +282,7 @@ def _scalar_action_rows(sigma, basis):
 def test_action_matrix_matches_scalar_expansion():
     rng = random.Random(5)
     for q, m in [(3, 2), (5, 2), (7, 2), (9, 2), (27, 1)]:
-        basis = enumerate_basis(q, m)
+        basis = BasisSet(q, m)
         ctx = field(basis.p, basis.r)
         sigmas = [u_gen(ctx), t_gen(ctx), w_gen(ctx)]
         sigmas += [random_sl2(ctx, rng) for _ in range(2)]
@@ -320,15 +320,15 @@ def test_simple_module_matches_binomial_rows():
 
 
 def test_graded_sizes_examples():
-    assert graded_basis(enumerate_basis(3, 2)).sizes() == [1, 2, 3, 0]
-    assert graded_basis(enumerate_basis(3, 1)).sizes() == [1, 2, 0, 0]
+    assert GradedBasis(BasisSet(3, 2)).sizes() == [1, 2, 3, 0]
+    assert GradedBasis(BasisSet(3, 1)).sizes() == [1, 2, 0, 0]
 
 
 def test_graded_blocks_are_contiguous_and_action_block_diagonal():
     rng = random.Random(7)
     for q, m in [(3, 2), (5, 2), (9, 1)]:
-        basis = enumerate_basis(q, m)
-        graded = graded_basis(basis)
+        basis = BasisSet(q, m)
+        graded = GradedBasis(basis)
         ctx = field(basis.p, basis.r)
         sizes = graded.sizes()
         assert sum(sizes) == len(basis)
@@ -355,12 +355,12 @@ def test_block_matrices_assemble_to_action_matrix(data):
             [(3, 1, 1), (3, 1, 3), (5, 1, 2), (5, 1, 4), (3, 2, 2), (3, 3, 1), (3, 3, 2)]
         )
     )
-    basis = enumerate_basis(p**r, m)
+    basis = BasisSet(p**r, m)
     ctx = field(p, r)
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     s, t = random_sl2(ctx, rng), random_sl2(ctx, rng)
-    blocks = block_action_matrices(s, basis)
-    sizes = graded_basis(basis).sizes()
+    blocks = {d: blk for d, (blk,) in action_blocks((s,), basis)}
+    sizes = GradedBasis(basis).sizes()
     assert list(blocks) == [d for d, k in enumerate(sizes) if k]
     assert [blk.rows for blk in blocks.values()] == [k for k in sizes if k]
     full = np.zeros((len(basis), len(basis)), dtype=np.int64)
@@ -370,32 +370,30 @@ def test_block_matrices_assemble_to_action_matrix(data):
         lo += blk.rows
     assert np.array_equal(full, action_matrix(s, basis).data)
     # each block is a representation on its own
-    st_blocks = block_action_matrices(s * t, basis)
-    t_blocks = block_action_matrices(t, basis)
-    for d, blk in blocks.items():
-        assert blk @ t_blocks[d] == st_blocks[d]
+    for d, (blk, t_blk, st_blk) in action_blocks((s, t, s * t), basis):
+        assert blocks[d] == blk and blk @ t_blk == st_blk
 
 
 def test_blocks_from_shared_reductions_match_the_scalar_expansion():
     # u, t and w on one basis: the second and third calls reuse the
     # reductions of the first
     for q, m in [(3, 4), (5, 3), (7, 2), (9, 2)]:
-        basis = enumerate_basis(q, m)
+        basis = BasisSet(q, m)
         ctx = field(basis.p, basis.r)
         for sigma in (u_gen(ctx), t_gen(ctx), w_gen(ctx)):
             full = np.zeros((len(basis), len(basis)), dtype=np.int64)
             lo = 0
-            for blk in block_action_matrices(sigma, basis).values():
+            for _, (blk,) in action_blocks((sigma,), basis):
                 full[lo : lo + blk.rows, lo : lo + blk.rows] = blk.data
                 lo += blk.rows
-            assert full.tolist() == _scalar_action_rows(sigma, enumerate_basis(q, m))
-            assert np.array_equal(full, action_matrix(sigma, enumerate_basis(q, m)).data)
+            assert full.tolist() == _scalar_action_rows(sigma, BasisSet(q, m))
+            assert np.array_equal(full, action_matrix(sigma, BasisSet(q, m)).data)
 
 
 def test_block_reductions_are_computed_once_per_basis(monkeypatch):
-    basis = enumerate_basis(7, 3)
+    basis = BasisSet(7, 3)
     ctx = field(7)
-    first = block_action_matrices(u_gen(ctx), basis)
+    first = list(action_blocks((u_gen(ctx),), basis))
     calls = []
     real = curve._reduce
 
@@ -404,12 +402,13 @@ def test_block_reductions_are_computed_once_per_basis(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(curve, "_reduce", counted)
-    again = block_action_matrices(u_gen(ctx), basis)
-    block_action_matrices(w_gen(ctx), basis)
+    again = list(action_blocks((u_gen(ctx),), basis))
+    list(action_blocks((w_gen(ctx),), basis))
     assert calls == []
-    assert all(again[d] == blk for d, blk in first.items())
+    assert [d for d, _ in again] == [d for d, _ in first]
+    assert all(a == b for (_, (a,)), (_, (b,)) in zip(again, first))
     # a new basis reduces its monomials again
-    block_action_matrices(u_gen(ctx), enumerate_basis(7, 3))
+    list(action_blocks((u_gen(ctx),), BasisSet(7, 3)))
     assert calls
 
 
@@ -429,7 +428,7 @@ def test_linear_form_powers_keep_only_basis_monomial_rows():
     # j = d once d >= q, each the expansion of (a x + b y)^(d-j) (c x + d y)^j
     rng = random.Random(22)
     for q, m in [(7, 3), (9, 6)]:
-        basis = enumerate_basis(q, m)
+        basis = BasisSet(q, m)
         ctx = field(basis.p, basis.r)
         sigma = random_sl2(ctx, rng)
         top = basis.max_total
@@ -465,7 +464,7 @@ def test_action_blocks_hold_the_powers_in_the_least_dtype():
     # the powers that serve every block are held in the least dtype that
     # holds q - 1 while the blocks are taken
     for q, m in [(7, 3), (9, 2), (27, 2)]:
-        basis = enumerate_basis(q, m)
+        basis = BasisSet(q, m)
         ctx = field(basis.p, basis.r)
         blocks = curve.action_blocks((u_gen(ctx), w_gen(ctx)), basis)
         next(blocks)

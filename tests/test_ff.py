@@ -1,8 +1,10 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import GF
@@ -58,6 +60,37 @@ def test_zeta_generates_multiplicative_group():
         ctx = make_field(p)
         assert all(pow(ctx.zeta, k, p) != 1 for k in range(1, p - 1))
         assert pow(ctx.zeta, p - 1, p) == 1
+
+
+def test_zeta_is_the_smallest_primitive_root_below_3000():
+    primes = list(sympy.primerange(3, 3000))
+    assert len(primes) == 429
+    for p in primes:
+        # brute force: the least g with g^k != 1 for every 0 < k < p - 1
+        want = next(g for g in range(2, p) if all(pow(g, k, p) != 1 for k in range(1, p - 1)))
+        assert make_field(p).zeta == want, p
+
+
+def test_moduli_of_the_extension_fields_in_use():
+    want = {
+        (3, 2): (1, 0, 1),
+        (3, 3): (1, 0, 2, 1),
+        (3, 4): (1, 0, 1, 1, 1),
+        (5, 2): (1, 1, 1),
+        (7, 2): (1, 0, 1),
+        (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    }
+    assert {pr: make_field(*pr).modulus for pr in want} == want
+    assert make_field(3).modulus == (0, 1)
+
+
+def test_a_large_prime_builds_its_field_at_once():
+    # the primitive root from the prime factors of p - 1, the modulus x
+    for p in (10000019, 1000000007, 2147483629):
+        start = time.perf_counter()
+        ctx = make_field(p)
+        assert time.perf_counter() - start < 2, p
+        assert (ctx.zeta, ctx.modulus) == (sympy.primitive_root(p), (0, 1)), p
 
 
 def test_modulus_has_no_roots_in_prime_field():

@@ -15,8 +15,7 @@ from drinfeld.curve import (
     BasisSet,
     GroupElement,
     action_matrix,
-    enumerate_basis,
-    graded_basis,
+    GradedBasis,
     linear_form_powers,
 )
 from drinfeld.ff import (
@@ -39,10 +38,10 @@ from drinfeld.modrep import (
     decompose_b_oracle,
     default_transversal,
     direct_sum,
-    h0_blocks,
     h0_module,
     hom_dim,
     induce_to_g,
+    iter_h0_blocks,
     restrict_to_b,
     simple_module,
     t_gen,
@@ -60,7 +59,7 @@ def test_h0_module_dims_and_homomorphism():
     mod = h0(3, 2)
     assert mod.dim == 6 and mod.group == "G"
     assert h0(5, 2).dim == 27
-    basis = enumerate_basis(3, 2)
+    basis = BasisSet(3, 2)
     ctx = field(3)
     uw = u_gen(ctx) * w_gen(ctx)
     assert mod.gens["u"] @ mod.gens["w"] == action_matrix(uw, basis)
@@ -417,7 +416,7 @@ def _kernel_chain_b_labels(mod):
 
 def test_b_oracle_matches_kernel_chain_on_h0_blocks():
     for p, m in [(5, 3), (7, 3), (11, 2), (13, 3)]:
-        for deg, mod in h0_blocks(p, m).items():
+        for deg, mod in iter_h0_blocks(p, m):
             mod = restrict_to_b(mod)
             assert decompose_b_oracle(mod) == _kernel_chain_b_labels(mod), (p, m, deg)
 
@@ -427,7 +426,7 @@ def test_b_oracle_matches_kernel_chain_on_h0_blocks_at_new_h():
     # the exp coefficients f_j; p = 3 has one weight parity only
     for p in (3, 17, 19, 23):
         for m in (2, 3):
-            for deg, mod in h0_blocks(p, m).items():
+            for deg, mod in iter_h0_blocks(p, m):
                 mod = restrict_to_b(mod)
                 assert decompose_b_oracle(mod) == _kernel_chain_b_labels(mod), (p, m, deg)
 
@@ -576,7 +575,7 @@ def _is_diagonal(T):
 def test_b_oracle_matches_dft_log_reference_on_h0_blocks():
     # the torus scales each monomial, so every block takes the diagonal route
     for p, m in [(5, 3), (7, 4), (11, 4), (13, 3), (31, 3)]:
-        for deg, mod in h0_blocks(p, m).items():
+        for deg, mod in iter_h0_blocks(p, m):
             mod = restrict_to_b(mod)
             assert _is_diagonal(mod.gens["t"].data), (p, m, deg)
             assert decompose_b_oracle(mod) == _dft_log_b_labels(mod), (p, m, deg)
@@ -645,7 +644,7 @@ def test_b_oracle_builds_one_power_stack_on_h0_blocks(monkeypatch):
         return stack(ctx, M, count)
 
     stack = modrep._power_stack
-    blocks = h0_blocks(11, 4)
+    blocks = dict(iter_h0_blocks(11, 4))
     monkeypatch.setattr(modrep, "_power_stack", counted)
     for deg, mod in blocks.items():
         calls.clear()
@@ -657,7 +656,7 @@ def test_b_oracle_inverts_no_weight_basis_on_h0_blocks(monkeypatch):
     def fail(*args):
         raise AssertionError("decompose_b_oracle must not invert its weight basis")
 
-    blocks = h0_blocks(7, 4)
+    blocks = dict(iter_h0_blocks(7, 4))
     want = modrep.b_labels_by_block(blocks.items())
     monkeypatch.setattr(modrep, "inv_array", fail)
     assert modrep.b_labels_by_block(blocks.items()) == want == dict(bdec(4, 7).mult)
@@ -677,7 +676,7 @@ def test_b_oracle_takes_one_batched_rank_and_no_rref_on_h0_blocks(monkeypatch):
     monkeypatch.setattr(modrep, "rank_array", counted_rank)
     monkeypatch.setattr(modrep, "rref_array", counted_rref)
     for p, m in [(7, 4), (13, 3)]:
-        for deg, mod in h0_blocks(p, m).items():
+        for deg, mod in iter_h0_blocks(p, m):
             ranks.clear()
             decompose_b_oracle(restrict_to_b(mod))
             assert len(ranks) == 1 and ranks[0][:2] == (p - 1, p + 1), (p, m, deg, ranks)
@@ -806,7 +805,7 @@ def test_weight_basis_makes_no_product_on_h0_blocks(monkeypatch):
         calls.append(1)
         return matmul(self, A, B)
 
-    for deg, mod in h0_blocks(7, 4).items():
+    for deg, mod in iter_h0_blocks(7, 4):
         ctx, arr = mod.field, mod.arrays()
         monkeypatch.setattr(FieldCtx, "matmul", counted)
         U, weight = modrep._weight_basis(ctx, arr["t"], arr["u"])
@@ -836,7 +835,7 @@ def test_b_oracle_takes_one_matrix_power_on_h0_blocks(monkeypatch):
         return matpow_array(A, k, p)
 
     for p, m in [(11, 4), (31, 3)]:
-        blocks = h0_blocks(p, m)
+        blocks = dict(iter_h0_blocks(p, m))
         monkeypatch.setattr(modrep, "matpow_array", counted)
         for deg, mod in blocks.items():
             calls.clear()
@@ -1082,7 +1081,7 @@ def _rank_brauer_counts(mod):
 
 
 def test_brauer_counts_match_eigenspace_ranks():
-    mods = [b for p, m in [(5, 3), (7, 3), (11, 2)] for b in h0_blocks(p, m).values()]
+    mods = [b for p, m in [(5, 3), (7, 3), (11, 2)] for _, b in iter_h0_blocks(p, m)]
     mods += [induce_to_g(uab_module(a, b, 7)) for a, b in [(0, 1), (3, 4), (5, 6)]]
     for mod in mods:
         assert modrep._brauer_counts(mod) == _rank_brauer_counts(mod)
@@ -1105,7 +1104,7 @@ def _assert_counts_match_references(mod):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_brauer_counts_match_references_on_h0_blocks(p):
     for m in range(2, 7):
-        for mod in h0_blocks(p, m).values():
+        for _, mod in iter_h0_blocks(p, m):
             _assert_counts_match_references(mod)
 
 
@@ -1180,7 +1179,7 @@ GUARD_MESSAGE = (
 
 def test_verify_guard_raises_before_h0_blocks(monkeypatch):
     def fail(sigma, basis):
-        raise AssertionError("h0_blocks must not build matrices past the guard")
+        raise AssertionError("iter_h0_blocks must not build matrices past the guard")
 
     monkeypatch.setattr(modrep, "action_blocks", fail)
     with pytest.raises(GuardError, match=GUARD_MESSAGE):
@@ -1205,7 +1204,7 @@ def test_force_gets_past_the_oracle_guard(monkeypatch):
 
     monkeypatch.setattr(modrep, "BasisSet", reached)
     with pytest.raises(Reached):
-        h0_blocks(251, 4, force=True)
+        iter_h0_blocks(251, 4, force=True)
     with pytest.raises(Reached):
         modrep.verify_full(251, 4, force=True)
 
@@ -1218,7 +1217,7 @@ def test_force_gets_past_the_oracle_guard(monkeypatch):
 def test_oracle_work_estimate_tracks_the_block_sizes(p, m):
     # the guard's dim-only estimate against the dense p n_d^3 cost of the
     # actual grading blocks; equal blocks make it a lower bound
-    sizes = graded_basis(BasisSet(p, m)).sizes()
+    sizes = GradedBasis(BasisSet(p, m)).sizes()
     ratio = p * sum(n**3 for n in sizes) / modrep._oracle_work(p, sum(sizes))
     assert 1.0 <= ratio <= 1.15, ratio
 
@@ -1228,7 +1227,7 @@ def test_oracle_work_estimate_tracks_the_block_sizes(p, m):
 
 @pytest.mark.parametrize("p, m", [(3, 2), (5, 3), (7, 4), (11, 2), (13, 3)])
 def test_h0_blocks_sum_to_h0_module(p, m):
-    blocks = h0_blocks(p, m)
+    blocks = dict(iter_h0_blocks(p, m))
     assert list(blocks) == sorted(blocks)
     total = functools.reduce(direct_sum, blocks.values())
     mod = h0(p, m)
@@ -1239,7 +1238,7 @@ def test_h0_blocks_sum_to_h0_module(p, m):
 
 def test_block_brauer_counts_sum_to_h0_counts():
     for p, m in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3)]:
-        per_block = [modrep._brauer_counts(b) for b in h0_blocks(p, m).values()]
+        per_block = [modrep._brauer_counts(b) for _, b in iter_h0_blocks(p, m)]
         assert tuple(map(sum, zip(*per_block))) == modrep._brauer_counts(h0(p, m)), (p, m)
 
 
@@ -1249,7 +1248,7 @@ def test_h0_blocks_refuses_oversize_before_building_a_basis(monkeypatch):
 
     monkeypatch.setattr(modrep, "BasisSet", fail)
     with pytest.raises(GuardError, match=GUARD_MESSAGE):
-        h0_blocks(251, 4)
+        iter_h0_blocks(251, 4)
 
 
 def test_verify_refuses_a_bad_m_before_any_basis(monkeypatch):
@@ -1288,14 +1287,14 @@ def test_blocks_are_built_and_split_one_at_a_time(monkeypatch):
 
 def test_oracle_errors_name_the_grading_block(monkeypatch):
     # rho(t) = I on block 5 of (5, 2): log rho(u) does not lower its weights
-    blocks = dict(h0_blocks(5, 2))
+    blocks = dict(iter_h0_blocks(5, 2))
     ctx, bad = field(5), blocks[5]
     eye = FqMatrix.identity(ctx, bad.dim)
     blocks[5] = ModuleRep(ctx, bad.dim, dict(bad.gens, t=eye))
     monkeypatch.setattr(modrep, "iter_h0_blocks", lambda p, m, force=False: iter(blocks.items()))
     with pytest.raises(InconsistencyError, match=r"^grading block 5 \(dim 6\): log rho\(u\)"):
         modrep.verify_full(5, 2)
-    # validate inside h0_blocks names the block too
+    # validate inside iter_h0_blocks names the block too
     real = modrep.action_blocks
 
     def tampered(elements, basis):
@@ -1307,13 +1306,13 @@ def test_oracle_errors_name_the_grading_block(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(modrep, "action_blocks", tampered)
     with pytest.raises(ValueError, match=r"^grading block 5 \(dim 6\): rho\(t\) rho\(u\)"):
-        h0_blocks(5, 2)
+        dict(iter_h0_blocks(5, 2))
 
 
 def test_verify_names_the_first_failing_block(monkeypatch):
     # block 1 of (5, 2) with rho(w) = I fails only its Brauer counts, block 5
     # with rho(t) = I its B-labels: one pass in ascending degree names block 1
-    blocks = dict(h0_blocks(5, 2))
+    blocks = dict(iter_h0_blocks(5, 2))
     ctx = field(5)
     for deg, name in ((1, "w"), (5, "t")):
         mod = blocks[deg]
