@@ -20,12 +20,13 @@ import sys
 import numpy as np
 
 from . import closedform, modrep
-from .curve import BasisSet, GroupElement, action_matrix, check_action_dim, degree, dim_h0
+from .curve import BasisSet, GroupElement, action_matrix, check_action_dim, degree, dim_h0, genus
 from .ff import FqMatrix, make_field
 from .modrep import GuardError
 
 DEFAULT_SWEEP_P = (3, 5, 7)
 DEFAULT_SWEEP_M = (2, 3)
+TABLE_MAX_CELLS = 10**6  # basis, decompose and factors refuse a larger table
 
 
 def _parse_entry(token, ctx):
@@ -39,6 +40,16 @@ def _element_from_tokens(tokens, ctx):
     return GroupElement(a, b, c, d)
 
 
+def _check_cells(args, cells):
+    """Refuse a table of more than TABLE_MAX_CELLS cells before it is built:
+    its size is a closed form, and building it takes time linear in it."""
+    if cells > TABLE_MAX_CELLS:
+        raise ValueError(
+            f"the {args.command} table at q={args.p**args.r}, m={args.m} has {cells} cells, "
+            f"above the limit {TABLE_MAX_CELLS}"
+        )
+
+
 # -- document builders (JSON-shaped dicts; other formats project these) ----
 # Each reads the argparse namespace of its command.
 
@@ -46,6 +57,8 @@ def _element_from_tokens(tokens, ctx):
 def _doc_basis(args):
     make_field(args.p)  # refuses a p that is not an odd prime; builds no tables
     q = args.p**args.r
+    genus(q)  # refuses q before m, as BasisSet does
+    _check_cells(args, dim_h0(q, args.m))
     basis = BasisSet(q, args.m)
     rows = [{"i": ix.i, "j": ix.j, "degree": degree(ix, q)} for ix in basis]
     return 0, {"q": q, "m": args.m, "dim": len(basis), "basis": rows}
@@ -69,38 +82,42 @@ def _summand_list(mult):
 
 
 def _doc_decompose(args):
-    if args.group == "B":
-        # the oracle's (m, p) check and size guard first, before the slower
-        # closed form; its blocks are built, split and dropped one at a time
-        if args.oracle:
-            closedform._check_pm(args.m, args.p)
-            blocks = modrep.iter_h0_blocks(args.p, args.m, force=args.force)
-        bdec = closedform.b_decomposition(args.m, args.p)
-        doc = {"summands": _summand_list(bdec.mult)}
-        status = 0
-        if args.oracle:
-            oracle = modrep.b_labels_by_block(blocks)
-            doc["oracle"] = _summand_list(oracle)
-            diff = [
-                {"a": lab.a, "b": lab.b, "closed": want, "oracle": got}
-                for lab, got, want in modrep.table_divergences(oracle, bdec.mult)
-            ]
-            doc["diff"] = diff
-            status = 1 if diff else 0
-        return status, doc
-    if args.oracle:
+    if args.oracle and args.group != "B":
         raise ValueError("--oracle applies only to --group B")
-    gdec = closedform.g_decomposition(args.m, args.p)
-    return 0, {
-        "summands": _summand_list(gdec.nonproj),
-        "projectives": [
-            {"t": t, "n": n} for t, n in sorted(gdec.proj.items()) if n
-        ],
-        "factors": [{"t": t, "d": gdec.factors[t]} for t in sorted(gdec.factors)],
-    }
+    # (m, p), the oracle's size guard and the table's size first, before the
+    # slower closed form; the oracle's blocks are built, split and dropped one
+    # at a time
+    closedform._check_pm(args.m, args.p)
+    if args.oracle:
+        blocks = modrep.iter_h0_blocks(args.p, args.m, force=args.force)
+    _check_cells(args, (args.p - 1) * args.p)
+    if args.group == "G":
+        gdec = closedform.g_decomposition(args.m, args.p)
+        return 0, {
+            "summands": _summand_list(gdec.nonproj),
+            "projectives": [
+                {"t": t, "n": n} for t, n in sorted(gdec.proj.items()) if n
+            ],
+            "factors": [{"t": t, "d": gdec.factors[t]} for t in sorted(gdec.factors)],
+        }
+    bdec = closedform.b_decomposition(args.m, args.p)
+    doc = {"summands": _summand_list(bdec.mult)}
+    status = 0
+    if args.oracle:
+        oracle = modrep.b_labels_by_block(blocks)
+        doc["oracle"] = _summand_list(oracle)
+        diff = [
+            {"a": lab.a, "b": lab.b, "closed": want, "oracle": got}
+            for lab, got, want in modrep.table_divergences(oracle, bdec.mult)
+        ]
+        doc["diff"] = diff
+        status = 1 if diff else 0
+    return status, doc
 
 
 def _doc_factors(args):
+    closedform._check_pm(args.m, args.p)
+    _check_cells(args, args.p)
     d = closedform.comp_factors_h0(args.m, args.p)
     return 0, {"factors": [{"t": t, "d": d[t]} for t in sorted(d)]}
 

@@ -16,13 +16,15 @@ N_1, the part of rho(u) - I that lowers weights by exactly 2, on the torus
 weight spaces V_c = ker(rho(t) - zeta^c).  N_1 = L + L^h / h! (L = log rho(u),
 h = (p+1)/2) is L times a unit of F[L], so it gives the chains of L.
 The split runs in one basis of weight vectors.  rho(t) scales each monomial,
-so on every H0 block, as on U_{a,b}, V_t and their sums, it is diagonal and
-that basis is a permutation of the given one, applied by reindexing; any
-other rho(t) gets its weight spaces by their definition, as kernels, and one
-change of basis whose span decides rho(t)^(p-1) = I.  There N_1 is a stack
-of its blocks between the p - 1 weight spaces, each padded to the largest,
-D, and batched doubling gives the blocks of N_1^0 .. N_1^p: (p-1)(p+1)
-matrices D x D, D about n / (p-1), in place of p + 1 of n x n.  Block by
+so on every H0 block, as on U_{a,b}, V_t and their sums, it is diagonal
+(_torus_diagonal) and that basis is a permutation of the given one, applied
+by reindexing; any other rho(t) gets its weight spaces by their definition,
+as kernels, and one change of basis whose span decides rho(t)^(p-1) = I.
+(ModuleRep.validate reads a diagonal rho(t) as its weights too: its powers
+are elementwise, its products row and column scalings.)  In that basis N_1
+is a stack of its blocks between the p - 1 weight spaces, each padded to
+the largest, D, and batched doubling gives the blocks of N_1^0 .. N_1^p:
+(p-1)(p+1) matrices D x D, D about n / (p-1), in place of p + 1 of n x n.  Block by
 block they check N_1^p = 0 and rho(u) = exp(L) = sum_{j<p} f_j N_1^j: these
 hold exactly when log rho(u) has weight -2, and imply rho(u)^p = I.  The
 labels come from ranks alone: r_c(k), the rank of N_1^k on V_c, counts the
@@ -39,7 +41,8 @@ conjugate into the split torus <t> or a non-split torus <c>, so eigenvalue
 counts of rho(t) and rho(c) fix the factors, solved against the same counts
 of V_1..V_p, which are built, counted and dropped one at a time.  Both
 operators are semisimple, so each count is the multiplicity of a known root
-of a characteristic polynomial mod p: of zeta^a for rho(t), and of a trace
+of a characteristic polynomial mod p: of zeta^a for rho(t), read off its
+diagonal by discrete log when rho(t) is diagonal, and of a trace
 tau_k in F_p for rho(c) + rho(c)^-1, whose eigenvalue tau_k pairs the
 Frobenius conjugates lambda^k, lambda^-k of rho(c).  ff.root_multiplicities
 reads all of them from Hasse derivatives with one product per operator and
@@ -173,22 +176,31 @@ class ModuleRep:
             if mat.ctx != ctx or mat.shape != (n, n):
                 raise ValueError(f"generator {name} has wrong field or shape")
         # u^p = I, t^(p-1) = I and w^2 = t^((p-1)/2) make every generator
-        # invertible, so the conjugation relations are checked without inverses
+        # invertible, so the conjugation relations are checked without
+        # inverses.  A diagonal rho(t) = diag(d) takes no product: t^(p-1) = I
+        # exactly when no d_i is 0 (Fermat), t^((p-1)/2) is the diagonal of the
+        # signs d_i^((p-1)/2) = (-1)^dlog(d_i), and t X and X t scale the rows
+        # and the columns of X by d
         if not np.array_equal(matpow_array(arr["u"], p, p), eye):
             raise ValueError("rho(u)^p != I")
-        half = matpow_array(arr["t"], (p - 1) // 2, p)  # rho(t)^((p-1)/2)
-        if not np.array_equal(ctx.matmul(half, half), eye):
+        t, d = arr["t"], _torus_diagonal(arr["t"])
+        if d is None:
+            half = matpow_array(t, (p - 1) // 2, p)  # rho(t)^((p-1)/2)
+            t_ok = np.array_equal(ctx.matmul(half, half), eye)
+            tx, xt = (lambda X: ctx.matmul(t, X)), (lambda X: ctx.matmul(X, t))
+        else:
+            half = np.diag(np.where(ctx._dlog[d] % 2, p - 1, 1))
+            t_ok = d.all()
+            tx, xt = (lambda X: d[:, None] * X % p), (lambda X: X * d % p)
+        if not t_ok:
             raise ValueError("rho(t)^(p-1) != I")
-        lhs = ctx.matmul(arr["t"], arr["u"])
-        rhs = ctx.matmul(matpow_array(arr["u"], pow(ctx.zeta, 2, p), p), arr["t"])
-        if not np.array_equal(lhs, rhs):
+        if not np.array_equal(tx(arr["u"]), xt(matpow_array(arr["u"], pow(ctx.zeta, 2, p), p))):
             raise ValueError("rho(t) rho(u) != rho(u)^(zeta^2) rho(t)")
         if "w" in arr:
             if not np.array_equal(ctx.matmul(arr["w"], arr["w"]), half):
                 raise ValueError("rho(w)^2 != rho(t)^((p-1)/2)")
             # with rho(t)^(p-1) = I, w t = t^(p-2) w is t w t = w
-            twt = ctx.matmul(ctx.matmul(arr["t"], arr["w"]), arr["t"])
-            if not np.array_equal(twt, arr["w"]):
+            if not np.array_equal(xt(tx(arr["w"])), arr["w"]):
                 raise ValueError("rho(w) rho(t) != rho(t)^(p-2) rho(w)")
         return self
 
@@ -376,6 +388,14 @@ def _shifted(S, s):
     return np.concatenate((S[s:], S[:s])) if s else S
 
 
+def _torus_diagonal(T):
+    """The diagonal of rho(t) = T when T is diagonal, else None: T is
+    diagonal exactly when it has no more nonzero entries than its diagonal,
+    which one pass over T counts."""
+    diag = np.diagonal(T)
+    return diag if np.count_nonzero(T) == np.count_nonzero(diag) else None
+
+
 def _weight_basis(ctx, T, X):
     """X in the weight basis P of rho(t) = T: (P X P^-1, weight), where the
     rows of P are weight vectors, v T = zeta^weight v, weights ascending.
@@ -387,8 +407,8 @@ def _weight_basis(ctx, T, X):
     exactly when T^(p-1) = I, as x^(p-1) - 1 has simple roots, the zeta^c.
     """
     p, n = ctx.p, T.shape[0]
-    diag = np.diagonal(T)
-    if np.array_equal(T, np.diag(diag)):
+    diag = _torus_diagonal(T)
+    if diag is not None:
         if not diag.all():
             raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
         logs = ctx._dlog[diag]
@@ -620,19 +640,25 @@ def _brauer_counts(mod):
     each count is the multiplicity of a root of a characteristic polynomial,
     read by root_multiplicities from Hasse derivatives with one product and
     no division.  The split part is the multiplicity of zeta^a in
-    charpoly(rho(t)) for a = 0..p-2.  The eigenvalues of rho(c) are powers
-    lambda^k in F_{p^2}, where lambda has order p + 1, and lambda^k and
-    lambda^-k are Frobenius conjugates with equal multiplicity.  So
-    S = rho(c) + rho(c)^p, with rho(c)^p = rho(c)^-1, is semisimple with
-    eigenvalues tau_k = lambda^k + lambda^-k in F_p, distinct for
-    k = 0..(p+1)/2.  The non-split part is the multiplicity of tau_0 = 2
+    charpoly(rho(t)) for a = 0..p-2; a diagonal rho(t), as on every H0 block
+    and V_t, has its eigenvalues on the diagonal, so there it is read off as
+    the number of nonzero entries of discrete log a, with no charpoly.  The
+    eigenvalues of rho(c) are powers lambda^k in F_{p^2}, where lambda has
+    order p + 1, and lambda^k and lambda^-k are Frobenius conjugates with
+    equal multiplicity.  So S = rho(c) + rho(c)^p, with rho(c)^p = rho(c)^-1,
+    is semisimple with eigenvalues tau_k = lambda^k + lambda^-k in F_p,
+    distinct for k = 0..(p+1)/2.  The non-split part is the multiplicity of tau_0 = 2
     (eigenvalue 1 of rho(c)), of tau_{(p+1)/2} = -2 (eigenvalue -1), then
     half that of tau_k for k = 1..(p-1)/2, in charpoly(S).
     """
     ctx = mod.field
     p, n = ctx.p, mod.dim
     arr = mod.arrays()
-    split = root_multiplicities(charpoly_array(arr["t"], p), ctx._zeta_powers, p)
+    d = _torus_diagonal(arr["t"])
+    if d is None:
+        split = root_multiplicities(charpoly_array(arr["t"], p), ctx._zeta_powers, p)
+    else:  # zeta^a is an eigenvalue once for each d_i of discrete log a
+        split = np.bincount(ctx._dlog[d[d != 0]], minlength=p - 1).tolist()
     if sum(split) != n:
         raise InconsistencyError(f"rho(t) eigenspaces span {sum(split)} of {n} dimensions")
     a, tau = _nonsplit_traces(p)

@@ -383,3 +383,22 @@ def test_a_large_prime_is_refused_at_once(capsys):
         assert main(argv) == 2, argv
         assert time.perf_counter() - start < 2, argv
         assert capsys.readouterr().err == err, argv
+
+
+def test_closed_form_commands_refuse_a_large_prime_at_once(capsys):
+    # basis, decompose and factors refuse from the closed-form size of their
+    # table, before any per-cell loop or basis enumeration
+    table = "the decompose table at q=1000000007, m=2 has 1000000013000000042 cells"
+    cases = [
+        (["factors", "--p", "1000000007", "--m", "2"],
+         "the factors table at q=1000000007, m=2 has 1000000007 cells"),
+        (["decompose", "--p", "1000000007", "--m", "2"], table),
+        (["decompose", "--p", "1000000007", "--m", "2", "--group", "G"], table),
+        (["basis", "--p", "1000000007", "--m", "2"],
+         "the basis table at q=1000000007, m=2 has 1500000019500000060 cells"),
+    ]
+    for argv, err in cases:
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 2, argv
+        assert capsys.readouterr().err == f"error: {err}, above the limit 1000000\n", argv

@@ -21,6 +21,7 @@ from drinfeld.curve import (
 from drinfeld.ff import (
     FieldCtx,
     FqMatrix,
+    charpoly_array,
     inv_array,
     kernel_array,
     matpow_array,
@@ -271,6 +272,8 @@ def test_validate_rejects_w_not_inverting_t():
 
 
 def test_validate_takes_three_matrix_powers(monkeypatch):
+    # rho(u)^p, rho(u)^(zeta^2) and, on a dense rho(t), rho(t)^((p-1)/2); the
+    # monomial basis of H0 makes rho(t) diagonal, which takes no power
     calls = []
 
     def counted(A, k, p):
@@ -278,9 +281,13 @@ def test_validate_takes_three_matrix_powers(monkeypatch):
         return matpow_array(A, k, p)
 
     mod = h0(5, 2)
+    hidden = _in_random_basis(mod, 0)
     monkeypatch.setattr(modrep, "matpow_array", counted)
     ModuleRep(mod.field, mod.dim, dict(mod.gens)).validate()
-    assert len(calls) == 3
+    assert calls == [5, 4]
+    calls.clear()
+    hidden.validate()
+    assert calls == [5, 2, 4]
 
 
 # -- B-side oracle ----------------------------------------------------------------
@@ -441,8 +448,13 @@ def _draw_uab_sum(data, primes):
 
 def _random_basis(data, mod):
     """mod in a random basis, so that rho(t) is no longer diagonal."""
+    return _in_random_basis(mod, data.draw(st.integers(0, 2**32 - 1)))
+
+
+def _in_random_basis(mod, seed):
+    """mod in the random basis that seed draws."""
     ctx, p = mod.field, mod.field.p
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
     while True:
         P = rng.integers(0, p, size=(mod.dim, mod.dim))
         if rank_array(P, p) == mod.dim:
@@ -1145,6 +1157,100 @@ def test_brauer_rejects_tampered_nonsplit_traces(monkeypatch):
     monkeypatch.setattr(modrep, "_nonsplit_traces", lambda p: (a, (tau[0], bad) + tau[2:]))
     with pytest.raises(InconsistencyError, match=r"rho\(c\) eigenspaces do not span 2 dimensions"):
         modrep._brauer_counts(mod)
+
+
+def _diagonal_torus_modules():
+    """H0 blocks for p <= 13, V_t and U_{a,b} for p <= 11: each rho(t) is
+    diagonal."""
+    mods = [mod for p in (3, 5, 7, 11, 13) for m in (2, 3, 4) for _, mod in iter_h0_blocks(p, m)]
+    for p in (3, 5, 7, 11):
+        mods += [simple_module(t, p) for t in range(1, p + 1)]
+        mods += [uab_module(a, b, p) for a in range(p - 1) for b in range(1, p + 1)]
+    return mods
+
+
+def _with_gen(mod, name, data):
+    return ModuleRep(mod.field, mod.dim, {**mod.gens, name: FqMatrix(mod.field, data % mod.field.p)})
+
+
+def _error(f, mod):
+    try:
+        f(mod)
+    except (ValueError, InconsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def test_diagonal_torus_matches_the_dense_path():
+    # validate and _brauer_counts read a diagonal rho(t) elementwise; the
+    # same module in a random basis takes the dense path, and both must
+    # agree, on the module and on tampered copies of it
+    validate, counts = ModuleRep.validate, modrep._brauer_counts
+    broken_w = 0
+    for k, mod in enumerate(_diagonal_torus_modules()):
+        ctx, p, n = mod.field, mod.field.p, mod.dim
+        d = np.diagonal(mod.gens["t"].data)
+        assert modrep._torus_diagonal(mod.gens["t"].data) is not None
+        hidden = _in_random_basis(mod, k).validate()
+        # a scalar rho(t) stays diagonal in every basis
+        assert len(set(d)) == 1 or modrep._torus_diagonal(hidden.gens["t"].data) is None
+        if mod.group == "G":
+            assert counts(mod) == counts(hidden)
+        i = n // 2
+        retorused = d.copy()
+        retorused[i] = retorused[i] * ctx.zeta % p
+        zero = d.copy()
+        zero[i] = 0
+        tampered = [_with_gen(mod, "t", np.diag(retorused)), _with_gen(mod, "t", np.diag(zero))]
+        assert _error(validate, tampered[1]) == (ValueError, "rho(t)^(p-1) != I")
+        if mod.group == "G":
+            msg = f"rho(t) eigenspaces span {n - 1} of {n} dimensions"
+            assert _error(counts, tampered[1]) == (InconsistencyError, msg)
+            # (I + e_ij) rho(w) (I - e_ij), with d_i != d_j of one parity of
+            # discrete log, still squares to rho(t)^((p-1)/2)
+            logs = ctx._dlog[d]
+            pairs = np.argwhere((d[:, None] != d) & (logs[:, None] % 2 == logs % 2))
+            if len(pairs):
+                g = np.eye(n, dtype=np.int64)
+                g[tuple(pairs[0])] = 1
+                W = ctx.matmul(ctx.matmul(g, mod.gens["w"].data), (2 * np.eye(n, dtype=np.int64) - g) % p)
+                tampered.append(_with_gen(mod, "w", W))
+                want = (ValueError, "rho(w) rho(t) != rho(t)^(p-2) rho(w)")
+                assert _error(validate, tampered[-1]) == want
+                broken_w += 1
+        for bad in tampered:
+            dense = _in_random_basis(bad, k)
+            assert _error(validate, bad) == _error(validate, dense), (p, n)
+            if mod.group == "G":
+                assert _error(counts, bad) == _error(counts, dense), (p, n)
+    assert broken_w > 100
+
+
+def test_brauer_counts_take_one_charpoly_on_h0_blocks(monkeypatch):
+    # the split counts are read off the diagonal of rho(t): the one
+    # charpoly is that of S, and validate takes no power of rho(t)
+    polys, powers = [], []
+
+    def counted_charpoly(A, p):
+        polys.append(A)
+        return charpoly_array(A, p)
+
+    def counted_matpow(A, k, p):
+        powers.append(A)
+        return matpow_array(A, k, p)
+
+    for p, m in [(11, 4), (31, 3)]:
+        blocks = dict(iter_h0_blocks(p, m))
+        monkeypatch.setattr(modrep, "charpoly_array", counted_charpoly)
+        monkeypatch.setattr(modrep, "matpow_array", counted_matpow)
+        for deg, mod in blocks.items():
+            polys.clear()
+            powers.clear()
+            t = mod.gens["t"].data
+            mod.validate()
+            assert len(powers) == 2 and not any(A is t for A in powers), (p, m, deg)
+            modrep._brauer_counts(mod)
+            assert len(polys) == 1 and polys[0] is not t, (p, m, deg)
+        monkeypatch.undo()
 
 
 def _outcome(f):
