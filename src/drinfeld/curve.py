@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ff import FqMatrix, _factor
+from .ff import FqMatrix, _is_prime
 
 __all__ = [
     "PolyDiffIndex",
@@ -53,13 +53,29 @@ __all__ = [
 ACTION_MAX_CELLS = 2**25
 
 
+def _iroot(n, r):
+    """floor(n^(1/r)) for integers n >= 1 and r >= 1, by Newton's method from
+    the upper bound 2^ceil(bits(n) / r)."""
+    x = 1 << -(-n.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power(q):
+    """(p, r) with q = p^r, p an odd prime.  The largest r for which q is an
+    exact r-th power gives the only candidate p, whose primality is tested,
+    so no factor of q is searched for."""
     if not isinstance(q, int) or q < 3:
         raise ValueError(f"q must be an odd prime power >= 3, got {q}")
-    factors = _factor(q)
-    if len(factors) != 1 or 2 in factors:
+    for r in range(q.bit_length(), 0, -1):  # r = 1 always holds
+        p = _iroot(q, r)
+        if p**r == q:
+            break
+    if p == 2 or not _is_prime(p):
         raise ValueError(f"q must be an odd prime power, got {q}")
-    (p, r), = factors.items()
     return p, r
 
 

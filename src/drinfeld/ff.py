@@ -53,7 +53,6 @@ c * X of submul and mul stay below 2^62.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property, lru_cache
 
@@ -85,6 +84,10 @@ FLOAT_EXACT = 2**53
 INT64_EXACT = 2**63
 # p < 2^31 keeps c * X in submul and mul below 2^62, inside int64
 MAX_P = 2**31
+# the Miller-Rabin test to the first 12 prime bases is exact below this bound
+# (Sorenson and Webster, 2015)
+MILLER_RABIN_BOUND = 318665857834031151167461
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _factor(n):
@@ -103,7 +106,34 @@ def _factor(n):
 
 
 def _is_prime(n):
-    return n >= 2 and _factor(n) == {n: 1}
+    """Whether the integer n is prime: trial division by the first 12 primes,
+    then the Miller-Rabin test to those 12 bases, which has no strong
+    pseudoprime below MILLER_RABIN_BOUND.  Above that bound an n with no
+    factor among the 12 primes is refused with ValueError, never guessed."""
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: it is not below {MILLER_RABIN_BOUND}, "
+            "the bound up to which the Miller-Rabin test to the first 12 prime bases is exact"
+        )
+    d, s = n - 1, 0  # n - 1 = d * 2^s with d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +166,41 @@ def _poly_rem(a, b, p):
     return _poly_divmod(a, b, p)[1]
 
 
+def _tuples(p, d):
+    """The tuples of itertools.product(range(p), repeat=d), in its order, made
+    one at a time: product would first hold range(p) as a tuple of p ints."""
+    if d == 0:
+        yield ()
+        return
+    for head in range(p):
+        for tail in _tuples(p, d - 1):
+            yield (head, *tail)
+
+
 def _is_irreducible(f, p):
     # trial division by all monic polynomials of degree <= deg(f)/2
     r = len(f) - 1
     if f[0] == 0:
         return r == 1
     for d in range(1, r // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
+        for tail in _tuples(p, d):
             g = list(tail) + [1]
             if not _poly_rem(f, g, p):
                 return False
     return True
+
+
+def _check_field(p, r=1):
+    """Refuse, with ValueError, a (p, r) that make_field does not take: p and
+    r integers, p an odd prime below MAX_P, r >= 1.  It does no other work."""
+    if not isinstance(p, int) or not isinstance(r, int):
+        raise ValueError("p and r must be integers")
+    if p < 3 or not _is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if p >= MAX_P:
+        raise ValueError(f"p must be below 2^31 for int64 arithmetic, got {p}")
 
 
 def make_field(p, r=1):
@@ -156,20 +210,18 @@ def make_field(p, r=1):
     r (coefficients compared low-degree-first), x when r = 1, and zeta is the
     smallest positive primitive root mod p, used for labeling torus
     eigenvalues: the least g with g^((p-1)/l) != 1 for every prime l dividing
-    p - 1.  For r = 1 the field takes at most about sqrt(p) trial divisions,
-    so a large prime reaches the size guards of its callers at once.
+    p - 1.  _check_field refuses a bad (p, r) first, so p - 1 < 2^31 takes
+    at most about sqrt(p) trial divisions and a large prime reaches the size
+    guards of its callers at once.  The modulus search for r > 1 trial-divides
+    each candidate by every monic polynomial of degree up to r / 2, so it is
+    slow at a large q; callers with a closed-form size limit check it first.
     """
-    if not isinstance(p, int) or not isinstance(r, int):
-        raise ValueError("p and r must be integers")
-    if p < 3 or not _is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_field(p, r)
     cofactors = [(p - 1) // ell for ell in _factor(p - 1)]
     zeta = next(g for g in range(2, p) if all(pow(g, k, p) != 1 for k in cofactors))
     if r == 1:
         return FieldCtx(p, r, (0, 1), zeta)
-    monic = (tail + (1,) for tail in itertools.product(range(p), repeat=r))
+    monic = (tail + (1,) for tail in _tuples(p, r))
     modulus = next(f for f in monic if _is_irreducible(f, p))
     return FieldCtx(p, r, modulus, zeta)
 

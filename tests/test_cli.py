@@ -402,3 +402,245 @@ def test_closed_form_commands_refuse_a_large_prime_at_once(capsys):
         assert main(argv) == 2, argv
         assert time.perf_counter() - start < 2, argv
         assert capsys.readouterr().err == f"error: {err}, above the limit 1000000\n", argv
+
+
+
+def test_a_huge_prime_or_prime_power_is_refused_at_once(capsys):
+    # primality by Miller-Rabin, q's prime from an integer root, and action's
+    # closed-form size before the field's modulus search
+    P = "1000000000000000003"
+    int64 = f"p must be below 2^31 for int64 arithmetic, got {P}"
+    action = "action matrix of dimension {} exceeds 33554432 cells"
+    cases = [
+        (["verify", "--p", P, "--m", "2"], int64),
+        (["factors", "--p", P, "--m", "2"],
+         f"the factors table at q={P}, m=2 has {P} cells, above the limit 1000000"),
+        (["basis", "--p", P, "--m", "2"], int64),
+        (["decompose", "--p", P, "--m", "2"],
+         f"the decompose table at q={P}, m=2 has 1000000000000000005000000000000000006 cells, "
+         "above the limit 1000000"),
+        (["action", "--p", P, "--m", "2", "--element", "1", "1", "0", "1"], int64),
+        (["sweep", "--p-values", P, "--m-values", "2"], int64),
+        (["basis", "--p", "1000000007", "--r", "2", "--m", "2"],
+         "the basis table at q=1000000014000000049, m=2 has "
+         "1500000042000000439500002037000003525 cells, above the limit 1000000"),
+        (["action", "--p", "3", "--r", "40", "--m", "2", "--element", "1", "0", "0", "1"],
+         action.format(221713244121518884955888317120989553197)),
+        (["action", "--p", "1000000007", "--r", "2", "--m", "2", "--element", "1", "0", "0", "1"],
+         action.format(1500000042000000439500002037000003525)),
+        (["basis", "--p", "3", "--r", "30", "--m", "2"],
+         "the basis table at q=205891132094649, m=2 has 63586737412823996434743507825 cells, "
+         "above the limit 1000000"),
+        (["action", "--p", "3", "--r", "7", "--m", "1", "--element", "1", "0", "0", "1"],
+         action.format(2390391)),
+    ]
+    for argv, err in cases:
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 2, argv
+        assert capsys.readouterr().err == f"error: {err}\n", argv
+
+
+# -- goldens for every rendered document, failures included ---------------------
+
+
+def _bump_longest_label(monkeypatch):
+    """The B-oracle reports its longest summand U(a, b) as U(a, b + 1)."""
+    labels_by_block = modrep.b_labels_by_block
+
+    def bumped(blocks):
+        labels = labels_by_block(blocks)
+        lab = max(labels, key=lambda k: (k.b, k.a))
+        labels[closedform.BLabel(lab.a, lab.b + 1)] = labels.pop(lab)
+        return labels
+
+    monkeypatch.setattr(modrep, "b_labels_by_block", bumped)
+
+
+def _fail_one_check(monkeypatch, at):
+    """verify_full reports its composition-factor check failed at (p, m) = at."""
+    verify_full = modrep.verify_full
+
+    def failing(p, m, force=False):
+        report = verify_full(p, m, force=force)
+        if (p, m) == at:
+            report.checks[1] = modrep.CheckResult("composition factors", False, "d = (0,)")
+        return report
+
+    monkeypatch.setattr(modrep, "verify_full", failing)
+
+
+GOLDEN_DECOMPOSE_G = {
+    "json": (
+        '{"summands":[{"a":1,"b":1,"mult":1},{"a":0,"b":2,"mult":1},{"a":3,"b":2,"mult":1},'
+        '{"a":2,"b":3,"mult":1},{"a":1,"b":4,"mult":1}],"projectives":[{"t":5,"n":1}],'
+        '"factors":[{"t":1,"d":1},{"t":2,"d":2},{"t":3,"d":3},{"t":4,"d":2},{"t":5,"d":1}]}\n'
+    ),
+    "csv": (
+        "kind,a,b,t,value\n"
+        "summand,1,1,,1\n"
+        "summand,0,2,,1\n"
+        "summand,3,2,,1\n"
+        "summand,2,3,,1\n"
+        "summand,1,4,,1\n"
+        "projective,,,5,1\n"
+        "factor,,,1,1\n"
+        "factor,,,2,2\n"
+        "factor,,,3,3\n"
+        "factor,,,4,2\n"
+        "factor,,,5,1\n"
+    ),
+    "text": (
+        "summands:\n"
+        "  U(1,1) x 1\n"
+        "  U(0,2) x 1\n"
+        "  U(3,2) x 1\n"
+        "  U(2,3) x 1\n"
+        "  U(1,4) x 1\n"
+        "projective covers:\n"
+        "  P(V_5) x 1\n"
+        "factors: d = [1,2,3,2,1]\n"
+    ),
+}
+
+GOLDEN_ORACLE_DIFF = {
+    "json": (
+        '{"summands":[{"a":1,"b":1,"mult":1},{"a":0,"b":2,"mult":1},{"a":3,"b":2,"mult":1},'
+        '{"a":2,"b":3,"mult":1},{"a":1,"b":4,"mult":1},{"a":0,"b":5,"mult":1},'
+        '{"a":2,"b":5,"mult":1},{"a":3,"b":5,"mult":1}],"oracle":[{"a":1,"b":1,"mult":1},'
+        '{"a":0,"b":2,"mult":1},{"a":3,"b":2,"mult":1},{"a":2,"b":3,"mult":1},'
+        '{"a":1,"b":4,"mult":1},{"a":0,"b":5,"mult":1},{"a":2,"b":5,"mult":1},'
+        '{"a":3,"b":6,"mult":1}],"diff":[{"a":3,"b":5,"closed":1,"oracle":0},'
+        '{"a":3,"b":6,"closed":0,"oracle":1}]}\n'
+    ),
+    "csv": (
+        "a,b,closed,oracle\n"
+        "1,1,1,1\n"
+        "0,2,1,1\n"
+        "3,2,1,1\n"
+        "2,3,1,1\n"
+        "1,4,1,1\n"
+        "0,5,1,1\n"
+        "2,5,1,1\n"
+        "3,5,1,0\n"
+        "3,6,0,1\n"
+    ),
+    "text": (
+        "summands:\n"
+        "  U(1,1) x 1\n"
+        "  U(0,2) x 1\n"
+        "  U(3,2) x 1\n"
+        "  U(2,3) x 1\n"
+        "  U(1,4) x 1\n"
+        "  U(0,5) x 1\n"
+        "  U(2,5) x 1\n"
+        "  U(3,5) x 1\n"
+        "oracle:\n"
+        "  U(1,1) x 1\n"
+        "  U(0,2) x 1\n"
+        "  U(3,2) x 1\n"
+        "  U(2,3) x 1\n"
+        "  U(1,4) x 1\n"
+        "  U(0,5) x 1\n"
+        "  U(2,5) x 1\n"
+        "  U(3,6) x 1\n"
+        "diff:\n"
+        "  (3,5): closed 1 != oracle 0\n"
+        "  (3,6): closed 0 != oracle 1\n"
+    ),
+}
+
+GOLDEN_VERIFY_FAILED = {
+    "json": (
+        '{"p":3,"m":2,"checks":[{"name":"B-decomposition",'
+        '"passed":true,"detail":"3 summand labels match"},{"name":"composition factors",'
+        '"passed":false,"detail":"d = (0,)"},{"name":"G-decomposition dimension",'
+        '"passed":true,"detail":"6 == dim H0 = 6"},{"name":"implied factors",'
+        '"passed":true,"detail":"claimed direct sum reproduces the oracle factors"}],'
+        '"all_passed":false}\n'
+    ),
+    "csv": (
+        "p,m,check,passed,detail\n"
+        "3,2,B-decomposition,True,3 summand labels match\n"
+        '3,2,composition factors,False,"d = (0,)"\n'
+        "3,2,G-decomposition dimension,True,6 == dim H0 = 6\n"
+        "3,2,implied factors,True,claimed direct sum reproduces the oracle factors\n"
+    ),
+    "text": (
+        "verify p=3 m=2\n"
+        "  [pass] B-decomposition: 3 summand labels match\n"
+        "  [FAIL] composition factors: d = (0,)\n"
+        "  [pass] G-decomposition dimension: 6 == dim H0 = 6\n"
+        "  [pass] implied factors: claimed direct sum reproduces the oracle factors\n"
+        "result: FAILED\n"
+    ),
+}
+
+GOLDEN_SWEEP_FAILED = {
+    "json": (
+        '{"grid":[{"p":3,"m":2,"checks":[{"name":"B-decomposition",'
+        '"passed":true,"detail":"3 summand labels match"},{"name":"composition factors",'
+        '"passed":true,"detail":"d = (1, 1, 1)"},{"name":"G-decomposition dimension",'
+        '"passed":true,"detail":"6 == dim H0 = 6"},{"name":"implied factors",'
+        '"passed":true,"detail":"claimed direct sum reproduces the oracle factors"}],'
+        '"all_passed":true},{"p":5,"m":2,"checks":[{"name":"B-decomposition",'
+        '"passed":true,"detail":"8 summand labels match"},{"name":"composition factors",'
+        '"passed":false,"detail":"d = (0,)"},{"name":"G-decomposition dimension",'
+        '"passed":true,"detail":"27 == dim H0 = 27"},{"name":"implied factors",'
+        '"passed":true,"detail":"claimed direct sum reproduces the oracle factors"}],'
+        '"all_passed":false}],"all_passed":false}\n'
+    ),
+    "csv": (
+        "p,m,check,passed,detail\n"
+        "3,2,B-decomposition,True,3 summand labels match\n"
+        '3,2,composition factors,True,"d = (1, 1, 1)"\n'
+        "3,2,G-decomposition dimension,True,6 == dim H0 = 6\n"
+        "3,2,implied factors,True,claimed direct sum reproduces the oracle factors\n"
+        "5,2,B-decomposition,True,8 summand labels match\n"
+        '5,2,composition factors,False,"d = (0,)"\n'
+        "5,2,G-decomposition dimension,True,27 == dim H0 = 27\n"
+        "5,2,implied factors,True,claimed direct sum reproduces the oracle factors\n"
+    ),
+    "text": (
+        "verify p=3 m=2\n"
+        "  [pass] B-decomposition: 3 summand labels match\n"
+        "  [pass] composition factors: d = (1, 1, 1)\n"
+        "  [pass] G-decomposition dimension: 6 == dim H0 = 6\n"
+        "  [pass] implied factors: claimed direct sum reproduces the oracle factors\n"
+        "result: all checks passed\n"
+        "verify p=5 m=2\n"
+        "  [pass] B-decomposition: 8 summand labels match\n"
+        "  [FAIL] composition factors: d = (0,)\n"
+        "  [pass] G-decomposition dimension: 27 == dim H0 = 27\n"
+        "  [pass] implied factors: claimed direct sum reproduces the oracle factors\n"
+        "result: FAILED\n"
+        "sweep: FAILED\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_decompose_g_golden_bytes(fmt):
+    argv = ["decompose", "--p", "5", "--m", "2", "--group", "G", "--format", fmt]
+    assert _capture(argv) == (0, GOLDEN_DECOMPOSE_G[fmt])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_decompose_oracle_diff_golden_bytes(monkeypatch, fmt):
+    _bump_longest_label(monkeypatch)
+    argv = ["decompose", "--p", "5", "--m", "2", "--oracle", "--format", fmt]
+    assert _capture(argv) == (1, GOLDEN_ORACLE_DIFF[fmt])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_failed_verify_golden_bytes(monkeypatch, fmt):
+    _fail_one_check(monkeypatch, (3, 2))
+    argv = ["verify", "--p", "3", "--m", "2", "--format", fmt]
+    assert _capture(argv) == (1, GOLDEN_VERIFY_FAILED[fmt])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_failed_sweep_golden_bytes(monkeypatch, fmt):
+    _fail_one_check(monkeypatch, (5, 2))
+    argv = ["sweep", "--p-values", "3,5", "--m-values", "2", "--format", fmt]
+    assert _capture(argv) == (1, GOLDEN_SWEEP_FAILED[fmt])

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,26 @@ def test_genus_examples():
     assert genus(5) == 10
     assert genus(7) == 21
     assert genus(9) == 36
+
+
+def test_prime_power_of_q_from_an_integer_root():
+    for q in range(-2, 5000):
+        f = sympy.factorint(q) if q >= 3 else {}
+        if len(f) == 1 and 2 not in f:
+            assert curve._prime_power(q) == next(iter(f.items())), q
+        else:
+            with pytest.raises(ValueError, match="^q must be an odd prime power"):
+                curve._prime_power(q)
+    start = time.perf_counter()
+    for p, r in ((1000000007, 2), (3, 60), (1000000000000000003, 1), (2**61 - 1, 3)):
+        assert curve._prime_power(p**r) == (p, r)
+    for q in (3**40 * 5, 2**70, 1000000007**2 * 3, 1000000007 * 998244353):
+        with pytest.raises(ValueError, match=f"^q must be an odd prime power, got {q}$"):
+            curve._prime_power(q)
+    # a q that is no perfect power, above the exact range of the primality test
+    with pytest.raises(ValueError, match="^cannot decide whether"):
+        curve._prime_power(1000000000000000003 * 1000000007)
+    assert time.perf_counter() - start < 2
 
 
 def test_dim_h0_examples():

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +13,13 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from drinfeld.ff import (
+    MILLER_RABIN_BOUND,
     FieldCtx,
     FqMatrix,
     _charpoly,
+    _is_prime,
     _poly_rem,
+    _tuples,
     charpoly_array,
     inv_array,
     kernel_array,
@@ -91,6 +96,47 @@ def test_a_large_prime_builds_its_field_at_once():
         ctx = make_field(p)
         assert time.perf_counter() - start < 2, p
         assert (ctx.zeta, ctx.modulus) == (sympy.primitive_root(p), (0, 1)), p
+
+
+def test_is_prime_agrees_with_sympy():
+    assert [n for n in range(10**5) if _is_prime(n)] == list(sympy.primerange(10**5))
+    rng = random.Random(61)
+    ns = [rng.getrandbits(61) | 1 for _ in range(3000)]
+    ns += [sympy.nextprime(rng.getrandbits(61)) for _ in range(20)]
+    # strong pseudoprimes to the first 4, 7, 8 and 9 prime bases, and the
+    # odd numbers just below the bound
+    ns += [3215031751, 341550071728321, 3825123056546413051]
+    ns += range(MILLER_RABIN_BOUND - 99, MILLER_RABIN_BOUND, 2)
+    for n in ns:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_refuses_to_guess_above_its_bound():
+    # the bound is the least strong pseudoprime to the first 12 prime bases;
+    # a factor among those bases still decides
+    assert not _is_prime(2**89) and not _is_prime(3 * 10**30)
+    for n in (MILLER_RABIN_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"^cannot decide whether {n} is prime"):
+            _is_prime(n)
+
+
+def test_a_huge_prime_is_refused_at_once():
+    # primality by Miller-Rabin, then p >= 2^31 refused before p - 1 is factored
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^p must be below 2\\^31 for int64 arithmetic"):
+        make_field(1000000000000000003)
+    assert time.perf_counter() - start < 2
+
+
+def test_modulus_candidates_are_made_one_at_a_time():
+    for p, d in ((2, 0), (3, 1), (3, 3), (5, 2)):
+        assert list(_tuples(p, d)) == list(itertools.product(range(p), repeat=d))
+    # itertools.product would first hold range(p) as a tuple, 8 bytes an entry
+    tracemalloc.start()
+    assert next(_tuples(10**6, 2)) == (0, 0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 10**5
 
 
 def test_modulus_has_no_roots_in_prime_field():
