@@ -89,7 +89,7 @@ def _columns(recs, *keys):
 
 
 def _doc_basis(args):
-    _check_field(args.p)  # refuses a p that is not an odd prime below 2^31
+    _check_field(args.p, args.r)  # refuses a bad p or r, as action does
     q = args.p**args.r
     genus(q)  # refuses q before m, as BasisSet does
     _check_cells(args, dim_h0(q, args.m))

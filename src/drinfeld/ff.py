@@ -213,10 +213,14 @@ def make_field(p, r=1):
     p - 1.  _check_field refuses a bad (p, r) first, so p - 1 < 2^31 takes
     at most about sqrt(p) trial divisions and a large prime reaches the size
     guards of its callers at once.  The modulus search for r > 1 trial-divides
-    each candidate by every monic polynomial of degree up to r / 2, so it is
-    slow at a large q; callers with a closed-form size limit check it first.
+    each candidate by every monic polynomial of degree up to r / 2, and a
+    field with r > 1 computes only through its tables (q <= TABLE_MAX_Q), so
+    q > TABLE_MAX_Q^2 is refused before any candidate is tried; the slowest
+    search left, for GF(3^13), takes seconds.
     """
     _check_field(p, r)
+    if r > 1 and p**r > TABLE_MAX_Q**2:
+        raise ValueError(f"GF({p}^{r}) has q = {p**r}; a modulus search needs q <= {TABLE_MAX_Q**2}")
     cofactors = [(p - 1) // ell for ell in _factor(p - 1)]
     zeta = next(g for g in range(2, p) if all(pow(g, k, p) != 1 for k in cofactors))
     if r == 1:

@@ -16,12 +16,13 @@ N_1, the part of rho(u) - I that lowers weights by exactly 2, on the torus
 weight spaces V_c = ker(rho(t) - zeta^c).  N_1 = L + L^h / h! (L = log rho(u),
 h = (p+1)/2) is L times a unit of F[L], so it gives the chains of L.
 The split runs in one basis of weight vectors.  rho(t) scales each monomial,
-so on every H0 block, as on U_{a,b}, V_t and their sums, it is diagonal
-(_torus_diagonal) and that basis is a permutation of the given one, applied
-by reindexing; any other rho(t) gets its weight spaces by their definition,
+so on every H0 block, as on U_{a,b}, V_t and their sums, it is an invertible
+diagonal, which _torus_diagonal alone decides, and that basis is a
+permutation of the given one, applied by reindexing; any other rho(t), a
+diagonal with a zero included, gets its weight spaces by their definition,
 as kernels, and one change of basis whose span decides rho(t)^(p-1) = I.
-(ModuleRep.validate reads a diagonal rho(t) as its weights too: its powers
-are elementwise, its products row and column scalings.)  In that basis N_1
+(ModuleRep.validate reads an invertible diagonal rho(t) as its weights too:
+its powers are elementwise, its products row and column scalings.)  In that basis N_1
 is a stack of its blocks between the p - 1 weight spaces, each padded to
 the largest, D, and batched doubling gives the blocks of N_1^0 .. N_1^p:
 (p-1)(p+1) matrices D x D, D about n / (p-1), in place of p + 1 of n x n.  Block by
@@ -54,8 +55,8 @@ arithmetic is exact: residues mod p in int64 arrays, every mod-p matrix
 product taken by FieldCtx.matmul (float64 BLAS under its asserted 2^53
 exactness bound) except the per-row int64 products inside
 ff.charpoly_array (under its asserted 2^63 bound), and Fractions for the
-Brauer and Cartan solves, whose eliminations depend only on p and run once
-per p.
+Brauer and Cartan solves, whose one Gauss-Jordan elimination, _eliminate,
+depends only on p and runs once per p.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ class ModuleRep:
                 raise ValueError(f"generator {name} has wrong field or shape")
         # u^p = I, t^(p-1) = I and w^2 = t^((p-1)/2) make every generator
         # invertible, so the conjugation relations are checked without
-        # inverses.  A diagonal rho(t) = diag(d) takes no product: t^(p-1) = I
-        # exactly when no d_i is 0 (Fermat), t^((p-1)/2) is the diagonal of the
+        # inverses.  An invertible diagonal rho(t) = diag(d) takes no product:
+        # t^(p-1) = I holds by Fermat, t^((p-1)/2) is the diagonal of the
         # signs d_i^((p-1)/2) = (-1)^dlog(d_i), and t X and X t scale the rows
         # and the columns of X by d
         if not np.array_equal(matpow_array(arr["u"], p, p), eye):
@@ -186,14 +187,12 @@ class ModuleRep:
         t, d = arr["t"], _torus_diagonal(arr["t"])
         if d is None:
             half = matpow_array(t, (p - 1) // 2, p)  # rho(t)^((p-1)/2)
-            t_ok = np.array_equal(ctx.matmul(half, half), eye)
+            if not np.array_equal(ctx.matmul(half, half), eye):
+                raise ValueError("rho(t)^(p-1) != I")
             tx, xt = (lambda X: ctx.matmul(t, X)), (lambda X: ctx.matmul(X, t))
         else:
             half = np.diag(np.where(ctx._dlog[d] % 2, p - 1, 1))
-            t_ok = d.all()
             tx, xt = (lambda X: d[:, None] * X % p), (lambda X: X * d % p)
-        if not t_ok:
-            raise ValueError("rho(t)^(p-1) != I")
         if not np.array_equal(tx(arr["u"]), xt(matpow_array(arr["u"], pow(ctx.zeta, 2, p), p))):
             raise ValueError("rho(t) rho(u) != rho(u)^(zeta^2) rho(t)")
         if "w" in arr:
@@ -389,28 +388,26 @@ def _shifted(S, s):
 
 
 def _torus_diagonal(T):
-    """The diagonal of rho(t) = T when T is diagonal, else None: T is
-    diagonal exactly when it has no more nonzero entries than its diagonal,
-    which one pass over T counts."""
+    """The diagonal of rho(t) = T when T is an invertible diagonal, else None:
+    T is one exactly when its diagonal has no zero and T has no other nonzero
+    entry, which one count over T decides."""
     diag = np.diagonal(T)
-    return diag if np.count_nonzero(T) == np.count_nonzero(diag) else None
+    return diag if diag.all() and np.count_nonzero(T) == len(diag) else None
 
 
 def _weight_basis(ctx, T, X):
     """X in the weight basis P of rho(t) = T: (P X P^-1, weight), where the
     rows of P are weight vectors, v T = zeta^weight v, weights ascending.
 
-    A diagonal T is one already: P is the stable permutation that sorts its
-    diagonal by discrete log, so P X P^-1 is X reindexed, with no product;
-    a zero there leaves no weight basis.  Otherwise P stacks, in order of c,
-    bases of the weight spaces V_c = ker(T - zeta^c), which span n dimensions
-    exactly when T^(p-1) = I, as x^(p-1) - 1 has simple roots, the zeta^c.
+    An invertible diagonal T is one already: P is the stable permutation that
+    sorts its diagonal by discrete log, so P X P^-1 is X reindexed, with no
+    product.  Otherwise P stacks, in order of c, bases of the weight spaces
+    V_c = ker(T - zeta^c), which span n dimensions exactly when
+    T^(p-1) = I, as x^(p-1) - 1 has simple roots, the zeta^c.
     """
     p, n = ctx.p, T.shape[0]
     diag = _torus_diagonal(T)
     if diag is not None:
-        if not diag.all():
-            raise InconsistencyError(f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions")
         logs = ctx._dlog[diag]
         order = np.argsort(logs, kind="stable")
         return X[np.ix_(order, order)], logs[order]
@@ -640,9 +637,9 @@ def _brauer_counts(mod):
     each count is the multiplicity of a root of a characteristic polynomial,
     read by root_multiplicities from Hasse derivatives with one product and
     no division.  The split part is the multiplicity of zeta^a in
-    charpoly(rho(t)) for a = 0..p-2; a diagonal rho(t), as on every H0 block
-    and V_t, has its eigenvalues on the diagonal, so there it is read off as
-    the number of nonzero entries of discrete log a, with no charpoly.  The
+    charpoly(rho(t)) for a = 0..p-2; an invertible diagonal rho(t), as on
+    every H0 block and V_t, has its eigenvalues on the diagonal, so there it
+    is read off as the number of entries of discrete log a, with no charpoly.  The
     eigenvalues of rho(c) are powers lambda^k in F_{p^2}, where lambda has
     order p + 1, and lambda^k and lambda^-k are Frobenius conjugates with
     equal multiplicity.  So S = rho(c) + rho(c)^p, with rho(c)^p = rho(c)^-1,
@@ -658,7 +655,7 @@ def _brauer_counts(mod):
     if d is None:
         split = root_multiplicities(charpoly_array(arr["t"], p), ctx._zeta_powers, p)
     else:  # zeta^a is an eigenvalue once for each d_i of discrete log a
-        split = np.bincount(ctx._dlog[d[d != 0]], minlength=p - 1).tolist()
+        split = np.bincount(ctx._dlog[d], minlength=p - 1).tolist()
     if sum(split) != n:
         raise InconsistencyError(f"rho(t) eigenspaces span {sum(split)} of {n} dimensions")
     a, tau = _nonsplit_traces(p)
@@ -769,25 +766,33 @@ def induce_to_g(mod):
     return ModuleRep(ctx, dim, gens).validate()
 
 
-def _solve_exact(A, rhs):
-    """Solve the rational system A x = rhs exactly, for A with at least as
-    many rows as columns.  Raises RuntimeError when A lacks full column rank,
-    which would mean a projective factor table or the simples' counts are
-    mis-encoded, and InconsistencyError when a row beyond the pivots does not
-    reduce to 0 = 0."""
-    rows, n = len(rhs), len(A[0])
-    M = [[Fraction(v) for v in A[i]] + [Fraction(rhs[i])] for i in range(rows)]
+def _eliminate(rows, n):
+    """Gauss-Jordan over the rationals on the first n columns of rows: the
+    rows as Fractions, reduced so that those columns read [I; 0].  Raises
+    RuntimeError when they lack full column rank, which would mean a
+    projective factor table or the simples' counts are mis-encoded."""
+    M = [[Fraction(v) for v in row] for row in rows]
     for col in range(n):
-        pivot = next((r for r in range(col, rows) if M[r][col] != 0), None)
+        pivot = next((r for r in range(col, len(M)) if M[r][col] != 0), None)
         if pivot is None:
             raise RuntimeError("singular system; projective factors or simple counts mis-encoded")
         M[col], M[pivot] = M[pivot], M[col]
         inv = 1 / M[col][col]
         M[col] = [v * inv for v in M[col]]
-        for r in range(rows):
+        for r in range(len(M)):
             if r != col and M[r][col]:
                 f = M[r][col]
                 M[r] = [v - f * w for v, w in zip(M[r], M[col])]
+    return M
+
+
+def _solve_exact(A, rhs):
+    """Solve the rational system A x = rhs exactly, for A with at least as
+    many rows as columns, by _eliminate on [A | rhs].  Raises its
+    RuntimeError when A lacks full column rank, and InconsistencyError when
+    a row beyond the pivots does not reduce to 0 = 0."""
+    rows, n = len(rhs), len(A[0])
+    M = _eliminate([[*A[i], rhs[i]] for i in range(rows)], n)
     if any(M[r][n] for r in range(n, rows)):
         raise InconsistencyError("overdetermined system is inconsistent")
     return [M[i][n] for i in range(n)]
@@ -797,25 +802,13 @@ def _exact_solver(A):
     """_solve_exact(A, .) with its elimination done once: returns a function
     rhs -> the same solution, raising the same errors.
 
-    The row operations of _solve_exact depend on A alone, so they are run
-    once on [A | I], which records them as a rational matrix E with
+    The row operations of _solve_exact depend on A alone, so _eliminate runs
+    them once on [A | I], which records them as a rational matrix E with
     E A = [I; 0].  Scaled by a common denominator to integers, E gives the
     solution as the first rows of E rhs; the rows beyond them must be zero.
     """
     rows, n = len(A), len(A[0])
-    M = [[Fraction(v) for v in A[i]] + [Fraction(int(i == j)) for j in range(rows)]
-         for i in range(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, rows) if M[r][col] != 0), None)
-        if pivot is None:
-            raise RuntimeError("singular system; projective factors or simple counts mis-encoded")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(rows):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
+    M = _eliminate([[*A[i]] + [int(i == j) for j in range(rows)] for i in range(rows)], n)
     den = math.lcm(*(v.denominator for row in M for v in row[n:]))
     E = [[int(v * den) for v in row[n:]] for row in M]
 

@@ -292,6 +292,14 @@ def test_exit_2_on_invalid_inputs(capsys):
         assert err.startswith("error: ")
 
 
+def test_basis_checks_r_as_action_does(capsys):
+    # r is checked with p, before q = p^r reaches genus
+    for r in ("0", "-1"):
+        for cmd in (["basis"], ["action", "--element", "1", "0", "0", "1"]):
+            assert main([*cmd, "--p", "3", "--r", r, "--m", "2"]) == 2
+            assert capsys.readouterr().err == f"error: r must be >= 1, got {r}\n"
+
+
 def test_argparse_rejects_missing_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

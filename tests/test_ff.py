@@ -128,6 +128,17 @@ def test_a_huge_prime_is_refused_at_once():
     assert time.perf_counter() - start < 2
 
 
+def test_an_extension_field_too_large_to_search_is_refused_at_once():
+    # r > 1 computes through tables of q <= 2048, so q above 2048^2 is
+    # refused before the modulus search tries any candidate
+    for p, r, q in ((1000000007, 2, 1000000014000000049), (3, 40, 12157665459056928801)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            make_field(p, r)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == f"GF({p}^{r}) has q = {q}; a modulus search needs q <= 4194304"
+
+
 def test_modulus_candidates_are_made_one_at_a_time():
     for p, d in ((2, 0), (3, 1), (3, 3), (5, 2)):
         assert list(_tuples(p, d)) == list(itertools.product(range(p), repeat=d))

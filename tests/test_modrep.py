@@ -1202,6 +1202,10 @@ def test_diagonal_torus_matches_the_dense_path():
         zero[i] = 0
         tampered = [_with_gen(mod, "t", np.diag(retorused)), _with_gen(mod, "t", np.diag(zero))]
         assert _error(validate, tampered[1]) == (ValueError, "rho(t)^(p-1) != I")
+        # a zero on the diagonal is no invertible torus: it takes the dense path
+        assert modrep._torus_diagonal(np.diag(zero)) is None
+        msg = f"rho(t)^(p-1) != I, so its eigenspaces do not span {n} dimensions"
+        assert _error(lambda m: decompose_b_oracle(restrict_to_b(m)), tampered[1]) == (InconsistencyError, msg)
         if mod.group == "G":
             msg = f"rho(t) eigenspaces span {n - 1} of {n} dimensions"
             assert _error(counts, tampered[1]) == (InconsistencyError, msg)
