@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from . import closedform, modrep
-from .curve import BasisSet, GroupElement, action_matrix, check_action_dim, degree, dim_h0, genus
-from .ff import FqMatrix, _check_field, make_field
+from .curve import BasisSet, GroupElement, action_matrix, check_action_dim, degree, dim_h0
+from .ff import FqMatrix, _check_field, _decimal, make_field
 from .modrep import GuardError
 
 DEFAULT_SWEEP_P = (3, 5, 7)
@@ -49,10 +49,13 @@ def _element_from_tokens(tokens, ctx):
 
 def _check_cells(args, cells):
     """Refuse a table of more than TABLE_MAX_CELLS cells before it is built:
-    its size is a closed form, and building it takes time linear in it."""
+    its size is a closed form, and building it takes time linear in it.  A
+    count too long for str leaves q written as p^r."""
     if cells > TABLE_MAX_CELLS:
+        count = _decimal(cells)
+        q = args.p**args.r if count.isdigit() else f"{args.p}^{args.r}"
         raise ValueError(
-            f"the {args.command} table at q={args.p**args.r}, m={args.m} has {cells} cells, "
+            f"the {args.command} table at q={q}, m={args.m} has {count} cells, "
             f"above the limit {TABLE_MAX_CELLS}"
         )
 
@@ -91,7 +94,6 @@ def _columns(recs, *keys):
 def _doc_basis(args):
     _check_field(args.p, args.r)  # refuses a bad p or r, as action does
     q = args.p**args.r
-    genus(q)  # refuses q before m, as BasisSet does
     _check_cells(args, dim_h0(q, args.m))
     basis = BasisSet(q, args.m)
     rows = [{"i": ix.i, "j": ix.j, "degree": degree(ix, q)} for ix in basis]
@@ -106,8 +108,8 @@ def _basis_text(doc):
 
 
 def _doc_action(args):
-    q = args.p**args.r
     _check_field(args.p, args.r)
+    q = args.p**args.r
     check_action_dim(dim_h0(q, args.m))  # closed form: refuse before the field and any basis
     ctx = make_field(args.p, args.r)
     sigma = _element_from_tokens(args.element, ctx)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ff import FqMatrix, _is_prime
+from .ff import FqMatrix, _decimal, _is_prime
 
 __all__ = [
     "PolyDiffIndex",
@@ -80,16 +80,18 @@ def _prime_power(q):
 
 
 def genus(q):
-    """Genus q(q-1)/2 of the smooth projective model."""
+    """Genus q(q-1)/2 of the smooth projective model, dim H0(C, Omega^1)."""
     _prime_power(q)
-    return q * (q - 1) // 2
+    return dim_h0(q, 1)
 
 
 def dim_h0(q, m):
-    """Dimension of the space of holomorphic m-differentials."""
+    """Dimension of the space of holomorphic m-differentials, the closed form
+    alone: q is taken as checked (by genus, BasisSet or ff._check_field), so
+    a huge q = p^r costs no search for p and r."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    g = genus(q)
+    g = q * (q - 1) // 2
     return g if m == 1 else (2 * m - 1) * (g - 1)
 
 
@@ -296,7 +298,7 @@ def linear_form_powers(sigma, top):
 def check_action_dim(n):
     """Refuse an action matrix of dimension n above ACTION_MAX_CELLS cells."""
     if n * n > ACTION_MAX_CELLS:
-        raise ValueError(f"action matrix of dimension {n} exceeds {ACTION_MAX_CELLS} cells")
+        raise ValueError(f"action matrix of dimension {_decimal(n)} exceeds {ACTION_MAX_CELLS} cells")
 
 
 def action_blocks(elements, basis):

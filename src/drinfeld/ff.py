@@ -18,10 +18,10 @@ the modulus.  They take scalars as well as arrays, so FqElem arithmetic and
 FieldCtx.ppow run through them too; pinv is pow for r = 1 and a power for
 r > 1.  matmul sums the r products A_k @ (B * x^k) over the digit planes A_k
 of A, with the shifts B * x^k from FieldCtx._shifts, which also builds the
-MUL table.  Tables are built only for q <= TABLE_MAX_Q = 2048; a larger
-field raises ValueError.
-The *_array functions are the prime-field entry points on plain residue
-arrays.  Two of them exist over the prime field only, and together they
+MUL table.  Tables are built only for q <= TABLE_MAX_Q = 2048, and
+make_field refuses r > 1 with a larger q before its modulus search.  The
+*_array functions are the core's entry points, on residue arrays mod p;
+over GF(p^r), FqMatrix has only @, inv and ==.  Two of them, off the core,
 count eigenvalues with no polynomial division.  charpoly_array reduces a
 square matrix to upper Hessenberg form by similarity (per pivot, one row
 operation and the inverse column operation) and reads the characteristic
@@ -53,7 +53,9 @@ c * X of submul and mul stay below 2^62.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -63,9 +65,6 @@ __all__ = [
     "FqElem",
     "FqMatrix",
     "make_field",
-    "rref",
-    "kernel_basis",
-    "rank",
     "rref_array",
     "kernel_array",
     "rank_array",
@@ -166,24 +165,13 @@ def _poly_rem(a, b, p):
     return _poly_divmod(a, b, p)[1]
 
 
-def _tuples(p, d):
-    """The tuples of itertools.product(range(p), repeat=d), in its order, made
-    one at a time: product would first hold range(p) as a tuple of p ints."""
-    if d == 0:
-        yield ()
-        return
-    for head in range(p):
-        for tail in _tuples(p, d - 1):
-            yield (head, *tail)
-
-
 def _is_irreducible(f, p):
     # trial division by all monic polynomials of degree <= deg(f)/2
     r = len(f) - 1
     if f[0] == 0:
         return r == 1
     for d in range(1, r // 2 + 1):
-        for tail in _tuples(p, d):
+        for tail in itertools.product(range(p), repeat=d):
             g = list(tail) + [1]
             if not _poly_rem(f, g, p):
                 return False
@@ -203,6 +191,13 @@ def _check_field(p, r=1):
         raise ValueError(f"p must be below 2^31 for int64 arithmetic, got {p}")
 
 
+def _decimal(n):
+    """n in decimal for a size guard's message, or "at least 10^k" past the k
+    digits that str writes (sys.get_int_max_str_digits(), 0 for no limit)."""
+    k = sys.get_int_max_str_digits()
+    return f"at least 10^{k}" if k and n >= 10**k else str(n)
+
+
 def make_field(p, r=1):
     """Build the field context for GF(p^r).
 
@@ -212,20 +207,19 @@ def make_field(p, r=1):
     eigenvalues: the least g with g^((p-1)/l) != 1 for every prime l dividing
     p - 1.  _check_field refuses a bad (p, r) first, so p - 1 < 2^31 takes
     at most about sqrt(p) trial divisions and a large prime reaches the size
-    guards of its callers at once.  The modulus search for r > 1 trial-divides
-    each candidate by every monic polynomial of degree up to r / 2, and a
-    field with r > 1 computes only through its tables (q <= TABLE_MAX_Q), so
-    q > TABLE_MAX_Q^2 is refused before any candidate is tried; the slowest
-    search left, for GF(3^13), takes seconds.
+    guards of its callers at once.  A field with r > 1 computes only through
+    its tables, so q > TABLE_MAX_Q is refused, with the tables' own message,
+    before the modulus search, which trial-divides each candidate by every
+    monic polynomial of degree up to r / 2.
     """
     _check_field(p, r)
-    if r > 1 and p**r > TABLE_MAX_Q**2:
-        raise ValueError(f"GF({p}^{r}) has q = {p**r}; a modulus search needs q <= {TABLE_MAX_Q**2}")
+    if r > 1 and p**r > TABLE_MAX_Q:
+        raise ValueError(f"GF({p}^{r}) has q = {_decimal(p**r)}; lookup tables need q <= {TABLE_MAX_Q}")
     cofactors = [(p - 1) // ell for ell in _factor(p - 1)]
     zeta = next(g for g in range(2, p) if all(pow(g, k, p) != 1 for k in cofactors))
     if r == 1:
         return FieldCtx(p, r, (0, 1), zeta)
-    monic = (tail + (1,) for tail in _tuples(p, r))
+    monic = (tail + (1,) for tail in itertools.product(range(p), repeat=r))
     modulus = next(f for f in monic if _is_irreducible(f, p))
     return FieldCtx(p, r, modulus, zeta)
 
@@ -769,10 +763,6 @@ class FqMatrix:
         self.data = arr
 
     @classmethod
-    def zeros(cls, ctx, rows, cols):
-        return cls(ctx, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
     def identity(cls, ctx, n):
         return cls(ctx, np.eye(n, dtype=np.int64))  # packed one is 1
 
@@ -810,53 +800,13 @@ class FqMatrix:
         """Nested list of packed values (residues when r = 1)."""
         return self.data.tolist()
 
-    @property
-    def T(self):
-        return FqMatrix(self.ctx, self.data.T.copy())
-
-    def _binop_check(self, other):
+    def __matmul__(self, other):
         if not isinstance(other, FqMatrix) or other.ctx != self.ctx:
             raise ValueError("operands must be matrices over the same field")
-
-    def _same_shape(self, other):
-        self._binop_check(other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return FqMatrix(self.ctx, self.ctx.submul(self.data, self.ctx.neg(1), other.data))
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return FqMatrix(self.ctx, self.ctx.submul(self.data, 1, other.data))
-
-    def __matmul__(self, other):
-        self._binop_check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         return FqMatrix(self.ctx, self.ctx.matmul(self.data, other.data))
 
-    def __pow__(self, k):
-        if k < 0:
-            return self.inv() ** (-k)
-        return FqMatrix(self.ctx, _matpow(self.ctx, self.data, k))
-
     def inv(self):
         return FqMatrix(self.ctx, _inv(self.ctx, self.data))
-
-
-def rref(m):
-    """Reduced row echelon form; returns (FqMatrix, pivot column list)."""
-    R, piv = _rref(m.ctx, m.data.copy())
-    return FqMatrix(m.ctx, R), piv
-
-
-def rank(m):
-    return int(_rank(m.ctx, m.data.copy()))
-
-
-def kernel_basis(m):
-    """FqMatrix whose columns span the right null space of m."""
-    return FqMatrix(m.ctx, _kernel(m.ctx, m.data.copy()))
 

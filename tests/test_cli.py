@@ -442,6 +442,15 @@ def test_a_huge_prime_or_prime_power_is_refused_at_once(capsys):
         (["action", "--p", "3", "--r", "7", "--m", "1", "--element", "1", "0", "0", "1"],
          action.format(2390391)),
     ]
+    # at a huge r, dim H0 is the closed form of the checked p and r, and a
+    # size too long for str is given as a power of ten, with q as p^r
+    for r in ("5000", "20000"):
+        cases += [
+            (["basis", "--p", "3", "--r", r, "--m", "2"],
+             f"the basis table at q=3^{r}, m=2 has at least 10^4300 cells, above the limit 1000000"),
+            (["action", "--p", "3", "--r", r, "--m", "2", "--element", "1", "0", "0", "1"],
+             action.format("at least 10^4300")),
+        ]
     for argv, err in cases:
         start = time.perf_counter()
         assert main(argv) == 2, argv

@@ -1,8 +1,6 @@
-import itertools
 import math
 import random
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,24 +10,25 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from drinfeld import ff
 from drinfeld.ff import (
     MILLER_RABIN_BOUND,
     FieldCtx,
     FqMatrix,
     _charpoly,
     _is_prime,
+    _kernel,
+    _matpow,
     _poly_rem,
-    _tuples,
+    _rank,
+    _rref,
     charpoly_array,
     inv_array,
     kernel_array,
-    kernel_basis,
     make_field,
     matpow_array,
-    rank,
     rank_array,
     root_multiplicities,
-    rref,
     rref_array,
 )
 from helpers import field, poly_multiplicity, random_sl2
@@ -83,7 +82,6 @@ def test_moduli_of_the_extension_fields_in_use():
         (3, 4): (1, 0, 1, 1, 1),
         (5, 2): (1, 1, 1),
         (7, 2): (1, 0, 1),
-        (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
     }
     assert {pr: make_field(*pr).modulus for pr in want} == want
     assert make_field(3).modulus == (0, 1)
@@ -128,26 +126,21 @@ def test_a_huge_prime_is_refused_at_once():
     assert time.perf_counter() - start < 2
 
 
-def test_an_extension_field_too_large_to_search_is_refused_at_once():
-    # r > 1 computes through tables of q <= 2048, so q above 2048^2 is
-    # refused before the modulus search tries any candidate
-    for p, r, q in ((1000000007, 2, 1000000014000000049), (3, 40, 12157665459056928801)):
+def test_an_extension_field_too_large_to_search_is_refused_at_once(monkeypatch):
+    # r > 1 computes through tables of q <= 2048, so a larger q is refused,
+    # with the tables' message, before the modulus search tries any candidate
+    def fail(f, p):
+        raise AssertionError("no modulus candidate may be tried")
+
+    monkeypatch.setattr(ff, "_is_irreducible", fail)
+    cases = ((3, 7, 2187), (1000000007, 2, 1000000014000000049), (3, 40, 12157665459056928801),
+             (3, 20000, "at least 10^4300"))
+    for p, r, q in cases:
         start = time.perf_counter()
         with pytest.raises(ValueError) as exc:
             make_field(p, r)
         assert time.perf_counter() - start < 1
-        assert str(exc.value) == f"GF({p}^{r}) has q = {q}; a modulus search needs q <= 4194304"
-
-
-def test_modulus_candidates_are_made_one_at_a_time():
-    for p, d in ((2, 0), (3, 1), (3, 3), (5, 2)):
-        assert list(_tuples(p, d)) == list(itertools.product(range(p), repeat=d))
-    # itertools.product would first hold range(p) as a tuple, 8 bytes an entry
-    tracemalloc.start()
-    assert next(_tuples(10**6, 2)) == (0, 0)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 10**5
+        assert str(exc.value) == f"GF({p}^{r}) has q = {q}; lookup tables need q <= 2048"
 
 
 def test_modulus_has_no_roots_in_prime_field():
@@ -261,8 +254,10 @@ def test_tables_match_polynomial_arithmetic(p, r):
 
 
 def test_tables_refuse_fields_above_the_bound():
-    ctx = make_field(3, 7)  # q = 2187
-    with pytest.raises(ValueError, match="q <= 2048"):
+    # make_field refuses GF(3^7) first; a context made by hand, with the
+    # modulus make_field would take, still builds no table above the bound
+    ctx = FieldCtx(3, 7, (1, 0, 0, 0, 0, 1, 2, 1), 2)  # q = 2187
+    with pytest.raises(ValueError, match=r"^GF\(3\^7\) has q = 2187; lookup tables need q <= 2048$"):
         ctx.tables
     with pytest.raises(ValueError, match="q <= 2048"):
         ctx.mul(1, 1)
@@ -356,21 +351,16 @@ def test_fqmatrix_takes_ownership_of_an_int64_array():
 
 
 def test_rank_of_power_jordan_block():
-    ctx = make_field(3)
-    J = FqMatrix(ctx, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
-    assert rank(J**1) == 2
-    assert rank(J**2) == 1
-    assert rank(J**3) == 0
-    eye = FqMatrix.identity(ctx, 3)
+    J = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert [rank_array(matpow_array(J, k, 3), 3) for k in (0, 1, 2, 3)] == [3, 2, 1, 0]
+    eye = np.eye(3, dtype=np.int64)
     for k in (0, 1, 5):
-        assert rank(eye**k) == 3
-    assert rank(J**0) == 3
+        assert rank_array(matpow_array(eye, k, 3), 3) == 3
 
 
 def test_rank_of_power_requires_square():
-    ctx = make_field(3)
-    with pytest.raises(ValueError):
-        rank(FqMatrix.zeros(ctx, 2, 3) ** 1)
+    with pytest.raises(ValueError, match="square"):
+        matpow_array(np.zeros((2, 3), dtype=np.int64), 1, 3)
 
 
 def test_matpow_makes_only_the_binary_powering_products(monkeypatch):
@@ -402,24 +392,21 @@ def test_matpow_matches_repeated_products():
         for k in range(21):
             assert np.array_equal(matpow_array(A, k, p), want), (p, k)
             want = ctx.matmul(want, A)
+    # the table-driven GF(9) through the same core
     ctx = make_field(3, 2)
-    M = FqMatrix(ctx, rng.integers(0, 9, size=(3, 3)))
-    want = FqMatrix.identity(ctx, 3)
+    A = rng.integers(0, 9, size=(3, 3))
+    want = np.eye(3, dtype=np.int64)
     for k in range(21):
-        assert M**k == want, k
-        want = want @ M
+        assert np.array_equal(_matpow(ctx, A, k), want), k
+        want = ctx.matmul(want, A)
 
 
 def test_matpow_hands_back_no_writable_alias():
-    ctx = make_field(5)
     A = np.array([[1, 2], [3, 4]], dtype=np.int64)
     B = matpow_array(A, 1, 5)
     assert not np.shares_memory(A, B)  # a copy of the input, the caller's own
     B[0, 0] = 0
     assert A[0, 0] == 1
-    M = FqMatrix(ctx, A)
-    assert not (M**1).data.flags.writeable
-    assert M**1 == M
 
 
 def test_fqmatrix_matmul_matches_elementwise_r2():
@@ -609,19 +596,9 @@ def test_fqmatrix_inverse_round_trip():
             g = random_sl2(ctx, rng)
             M = FqMatrix.from_elems(ctx, [[g.alpha, g.beta], [g.gamma, g.delta]])
             assert M @ M.inv() == eye
-            assert M**-1 == M.inv()
-            assert M**3 @ M**-3 == eye
-
-
-def test_fqmatrix_rref_and_kernel_wrappers():
-    ctx = make_field(5)
-    M = FqMatrix(ctx, np.array([[1, 2], [2, 4]]))
-    R, piv = rref(M)
-    assert piv == [0] and R.tolist()[1] == [0, 0]
-    assert rank(M) == 1
-    K = kernel_basis(M)
-    assert K.shape == (2, 1)
-    assert (M @ K).tolist() == [[0], [0]]
+            assert M.inv() @ M == eye
+            cube = FqMatrix(ctx, _matpow(ctx, M.data, 3))
+            assert cube @ FqMatrix(ctx, _matpow(ctx, M.inv().data, 3)) == eye
 
 
 @st.composite
@@ -640,24 +617,29 @@ def field_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(field_matrices())
 def test_elimination_properties_every_field(data):
+    # kernel, rank, rref, inverse and power through the one core that
+    # FqMatrix.inv and the *_array functions share, on prime and
+    # table-driven fields alike; each call gets a copy it may reduce
     ctx, M, S = data
-    K = kernel_basis(M)
-    assert M @ K == FqMatrix.zeros(ctx, M.rows, K.cols)
-    assert rank(M) + K.cols == M.cols
-    R, piv = rref(M)
-    assert rref(R) == (R, piv)
+    A = M.data
+    K = _kernel(ctx, A.copy())
+    assert not ctx.matmul(A, K).any()
+    assert _rank(ctx, A.copy()) + K.shape[1] == A.shape[1]
+    R, piv = _rref(ctx, A.copy())
+    R2, piv2 = _rref(ctx, R.copy())
+    assert np.array_equal(R, R2) and piv == piv2
     if ctx.r == 1:
-        R_arr, piv_arr = rref_array(M.data, ctx.p)
-        assert np.array_equal(R.data, R_arr) and piv == piv_arr
+        R_arr, piv_arr = rref_array(A, ctx.p)
+        assert np.array_equal(R, R_arr) and piv == piv_arr
     eye = FqMatrix.identity(ctx, S.rows)
-    if rank(S) == S.rows:
+    if _rank(ctx, S.data.copy()) == S.rows:
         assert S @ S.inv() == eye
     else:
         with pytest.raises(ValueError):
             S.inv()
     acc = eye
     for k in range(5):
-        assert S**k == acc
+        assert FqMatrix(ctx, _matpow(ctx, S.data, k)) == acc
         acc = acc @ S
 
 
