@@ -28,7 +28,7 @@ import numpy as np
 
 from . import closedform, modrep
 from .curve import BasisSet, GroupElement, action_matrix, check_action_dim, degree, dim_h0
-from .ff import FqMatrix, _check_field, _decimal, make_field
+from .ff import FqMatrix, _capped_power, _check_field, _decimal, make_field
 from .modrep import GuardError
 
 DEFAULT_SWEEP_P = (3, 5, 7)
@@ -93,7 +93,7 @@ def _columns(recs, *keys):
 
 def _doc_basis(args):
     _check_field(args.p, args.r)  # refuses a bad p or r, as action does
-    q = args.p**args.r
+    q = _capped_power(args.p, args.r)
     _check_cells(args, dim_h0(q, args.m))
     basis = BasisSet(q, args.m)
     rows = [{"i": ix.i, "j": ix.j, "degree": degree(ix, q)} for ix in basis]
@@ -109,7 +109,7 @@ def _basis_text(doc):
 
 def _doc_action(args):
     _check_field(args.p, args.r)
-    q = args.p**args.r
+    q = _capped_power(args.p, args.r)
     check_action_dim(dim_h0(q, args.m))  # closed form: refuse before the field and any basis
     ctx = make_field(args.p, args.r)
     sigma = _element_from_tokens(args.element, ctx)
@@ -155,7 +155,7 @@ def _doc_decompose(args):
     # at a time
     closedform._check_pm(args.m, args.p)
     if args.oracle:
-        blocks = modrep.iter_h0_blocks(args.p, args.m, force=args.force)
+        blocks = modrep.iter_h0_blocks(args.p, args.m, force=args.force, group="B")
     _check_cells(args, (args.p - 1) * args.p)
     if args.group == "G":
         gdec = closedform.g_decomposition(args.m, args.p)

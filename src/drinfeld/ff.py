@@ -198,6 +198,15 @@ def _decimal(n):
     return f"at least 10^{k}" if k and n >= 10**k else str(n)
 
 
+def _capped_power(p, r):
+    """p^r for a size guard, with no power computed at a huge r: 10^k in its
+    place once r log10(p) > k + 1, for the k digits that str writes (none
+    when k = 0, for no limit).  Both are above every size limit, and _decimal
+    writes both, and any closed form at least as large, as "at least 10^k"."""
+    k = sys.get_int_max_str_digits()
+    return 10**k if k and r > (k + 1) / math.log10(p) else p**r
+
+
 def make_field(p, r=1):
     """Build the field context for GF(p^r).
 
@@ -213,8 +222,8 @@ def make_field(p, r=1):
     monic polynomial of degree up to r / 2.
     """
     _check_field(p, r)
-    if r > 1 and p**r > TABLE_MAX_Q:
-        raise ValueError(f"GF({p}^{r}) has q = {_decimal(p**r)}; lookup tables need q <= {TABLE_MAX_Q}")
+    if r > 1 and (q := _capped_power(p, r)) > TABLE_MAX_Q:
+        raise ValueError(f"GF({p}^{r}) has q = {_decimal(q)}; lookup tables need q <= {TABLE_MAX_Q}")
     cofactors = [(p - 1) // ell for ell in _factor(p - 1)]
     zeta = next(g for g in range(2, p) if all(pow(g, k, p) != 1 for k in cofactors))
     if r == 1:

@@ -22,14 +22,21 @@ permutation of the given one, applied by reindexing; any other rho(t), a
 diagonal with a zero included, gets its weight spaces by their definition,
 as kernels, and one change of basis whose span decides rho(t)^(p-1) = I.
 (ModuleRep.validate reads an invertible diagonal rho(t) as its weights too:
-its powers are elementwise, its products row and column scalings.)  In that basis N_1
+its powers are elementwise, its products row and column scalings, and so
+are induce_to_g's rho(t)^e rho(u)^n.)  In that basis N_1
 is a stack of its blocks between the p - 1 weight spaces, each padded to
 the largest, D, and batched doubling gives the blocks of N_1^0 .. N_1^p:
 (p-1)(p+1) matrices D x D, D about n / (p-1), in place of p + 1 of n x n.  Block by
 block they check N_1^p = 0 and rho(u) = exp(L) = sum_{j<p} f_j N_1^j: these
-hold exactly when log rho(u) has weight -2, and imply rho(u)^p = I.  The
-labels come from ranks alone: r_c(k), the rank of N_1^k on V_c, counts the
-chain vectors of weight c with at least k below them, so the chains of
+hold exactly when log rho(u) has weight -2, that is, exactly when
+rho(u)^p = I and rho(t) rho(u) = rho(u)^(zeta^2) rho(t).  So on an
+invertible diagonal torus ModuleRep.validate decides those two relations
+by this check, with no power of rho(u), and leaves the stack (_n1_stack) on
+the module; the B-oracle reads it there, so each H0 block builds it once,
+and verify_full drops it before the Brauer counts.  decompose --oracle
+builds its blocks for B alone (iter_h0_blocks(..., group="B")), with no
+rho(w).  The labels come from ranks alone: r_c(k), the rank of N_1^k on
+V_c, counts the chain vectors of weight c with at least k below them, so the chains of
 length s whose top has weight c number
 r_c(s-1) - r_{c+2}(s) - r_c(s) + r_{c+2}(s+1), and every r_c(k) comes from
 one batched rank_array call.  U_{a,b} is built in its weight basis too.
@@ -61,6 +68,7 @@ depends only on p and runs once per p.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from contextlib import contextmanager
@@ -154,6 +162,9 @@ class ModuleRep:
     field: object  # FieldCtx with r = 1
     dim: int
     gens: dict  # name in {"u","t","w"} -> FqMatrix
+    # the N_1 stack of _n1_stack, which validate builds on an invertible
+    # diagonal rho(t) and decompose_b_oracle reads instead of building it again
+    _n1: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @property
     def group(self):
@@ -181,20 +192,27 @@ class ModuleRep:
         # inverses.  An invertible diagonal rho(t) = diag(d) takes no product:
         # t^(p-1) = I holds by Fermat, t^((p-1)/2) is the diagonal of the
         # signs d_i^((p-1)/2) = (-1)^dlog(d_i), and t X and X t scale the rows
-        # and the columns of X by d
-        if not np.array_equal(matpow_array(arr["u"], p, p), eye):
-            raise ValueError("rho(u)^p != I")
-        t, d = arr["t"], _torus_diagonal(arr["t"])
+        # and the columns of X by d.  There u^p = I and t u = u^(zeta^2) t
+        # are one fact, that log rho(u) exists and has weight -2, which the
+        # graded exp check of _n1_stack decides with no power of rho(u); the
+        # powers below only name the relation that fails
+        u, t, d = arr["u"], arr["t"], _torus_diagonal(arr["t"])
+        self._n1 = None if d is None else _n1_stack(ctx, t, u)[0]
         if d is None:
-            half = matpow_array(t, (p - 1) // 2, p)  # rho(t)^((p-1)/2)
-            if not np.array_equal(ctx.matmul(half, half), eye):
-                raise ValueError("rho(t)^(p-1) != I")
             tx, xt = (lambda X: ctx.matmul(t, X)), (lambda X: ctx.matmul(X, t))
         else:
             half = np.diag(np.where(ctx._dlog[d] % 2, p - 1, 1))
             tx, xt = (lambda X: d[:, None] * X % p), (lambda X: X * d % p)
-        if not np.array_equal(tx(arr["u"]), xt(matpow_array(arr["u"], pow(ctx.zeta, 2, p), p))):
-            raise ValueError("rho(t) rho(u) != rho(u)^(zeta^2) rho(t)")
+        if self._n1 is None:
+            if not np.array_equal(matpow_array(u, p, p), eye):
+                raise ValueError("rho(u)^p != I")
+            if d is None:
+                half = matpow_array(t, (p - 1) // 2, p)  # rho(t)^((p-1)/2)
+                if not np.array_equal(ctx.matmul(half, half), eye):
+                    raise ValueError("rho(t)^(p-1) != I")
+            if not np.array_equal(tx(u), xt(matpow_array(u, pow(ctx.zeta, 2, p), p))):
+                raise ValueError("rho(t) rho(u) != rho(u)^(zeta^2) rho(t)")
+            assert d is None, "the graded N_1 check fails where both rho(u) relations hold"
         if "w" in arr:
             if not np.array_equal(ctx.matmul(arr["w"], arr["w"]), half):
                 raise ValueError("rho(w)^2 != rho(t)^((p-1)/2)")
@@ -255,14 +273,19 @@ def _naming_block(deg, mod):
         raise type(exc)(f"grading block {deg} (dim {mod.dim}): {exc}") from exc
 
 
-def iter_h0_blocks(p, m, force=False):
+def iter_h0_blocks(p, m, force=False, group="G"):
     """H0 split into its G-stable grading blocks, degree (i + j) mod (p + 1):
     an iterator of (degree, ModuleRep) over the nonempty blocks in ascending
     degree, each built and validated when it is reached, whose direct sum is
-    h0_module(p, m).  A block that fails validate raises with the block named.
-    The oracle's one size guard is checked on the call, before any basis:
-    unless force=True, a (p, m) whose _oracle_work(p, dim H0) exceeds
+    h0_module(p, m).  group names the group each block is a module for: "G"
+    builds rho(u), rho(t) and rho(w), "B" only rho(u) and rho(t), all that
+    the B-oracle reads, and its blocks are restrict_to_b of the G-blocks.
+    A block that fails validate raises with the block named.  The oracle's
+    one size guard is checked on the call, before any basis: unless
+    force=True, a (p, m) whose _oracle_work(p, dim H0) exceeds
     ORACLE_WORK_GUARD is refused."""
+    if group not in ("G", "B"):
+        raise ValueError(f"group must be G or B, got {group!r}")
     ctx = make_field(p)
     n = dim_h0(p, m)
     work = _oracle_work(p, n)
@@ -272,7 +295,7 @@ def iter_h0_blocks(p, m, force=False):
             f"multiply-adds, above the limit {ORACLE_WORK_GUARD:.2g}; "
             "pass --force (force=True) to override"
         )
-    gens = _generators(ctx)
+    gens = {name: g for name, g in _generators(ctx).items() if group == "G" or name != "w"}
     stream = action_blocks(tuple(gens.values()), BasisSet(p, m))
 
     def validated():
@@ -315,19 +338,21 @@ def uab_module(a, b, p):
     ctx = make_field(p)
     _check_range("a", a, 0, p - 2)
     _check_range("b", b, 1, p)
-    U = np.zeros((b, b), dtype=np.int64)
-    for j in range(b):
-        U += pow(math.factorial(j), -1, p) * np.eye(b, k=j, dtype=np.int64)
-    weights = [pow(ctx.zeta, (a + 2 * (b - 1 - k)) % (p - 1), p) for k in range(b)]
+    k = np.arange(b)
+    U = np.triu(_inverse_factorials(p)[abs(k[None, :] - k[:, None])])
+    weights = ctx._zeta_powers[(a + 2 * (b - 1 - k)) % (p - 1)]
     gens = {"u": FqMatrix(ctx, U), "t": FqMatrix(ctx, np.diag(weights))}
     return ModuleRep(ctx, b, gens).validate()
 
 
 def restrict_to_b(mod):
-    """Forget the w generator."""
+    """Forget the w generator; the N_1 stack that validate left on mod, made
+    from rho(u) and rho(t) alone, is the restriction's too."""
     if not {"u", "t"} <= set(mod.gens):
         raise ValueError("module must carry u and t generators")
-    return ModuleRep(mod.field, mod.dim, {"u": mod.gens["u"], "t": mod.gens["t"]})
+    out = ModuleRep(mod.field, mod.dim, {"u": mod.gens["u"], "t": mod.gens["t"]})
+    out._n1 = mod._n1
+    return out
 
 
 def direct_sum(m1, m2):
@@ -438,6 +463,69 @@ def _weight_error(ctx, U, weight):
     return InconsistencyError(f"log rho(u) does not map weight {c} to weight {c - 2}")
 
 
+@lru_cache(maxsize=None)
+def _inverse_factorials(p):
+    """1/j! mod p for j = 0..p-1, read-only."""
+    out = np.array([pow(math.factorial(j), -1, p) for j in range(p)], dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _exp_coefficients(p):
+    """The f_j of exp(L) = sum_{j<p} f_j N_1^j (decompose_b_oracle) as a
+    ((p-1)/2, p) matrix: f_j in row j mod (p-1)/2, the shift of weight of
+    N_1^j, column j, and 0 elsewhere.  It depends on p alone."""
+    h, inv_fac = (p + 1) // 2, _inverse_factorials(p).tolist()
+    f = [(inv_fac[j] - (inv_fac[j - h] * inv_fac[h] if j >= h else 0)) % p for j in range(p)]
+    F = np.zeros(((p - 1) // 2, p), dtype=np.int64)
+    F[np.arange(p) % ((p - 1) // 2), np.arange(p)] = f
+    F.flags.writeable = False
+    return F
+
+
+def _n1_stack(ctx, T, X):
+    """The graded N_1 stack of rho(u) = X on the weight spaces of rho(t) = T,
+    and its exp check: (N1pow, U, weight), with U, weight = _weight_basis(ctx,
+    T, X), and N1pow[t, k] the block of N_1^k into V_t, from V_{t+2k}, for
+    k = 0..p, each padded to the largest weight space, D x D; N1pow is None
+    when the check fails.
+
+    N_1, the part of rho(u) - I that maps V_c to V_{c-2}, is a (p-1, D, D)
+    stack of its blocks V_{c+2} -> V_c, and _power_stack gives the blocks of
+    its powers by batched doubling.  The check is that N_1^p = 0 and
+    rho(u) = sum_{j<p} f_j N_1^j (decompose_b_oracle), which hold exactly
+    when log rho(u) exists and has weight -2, that is, exactly when
+    rho(u)^p = I and rho(t) rho(u) = rho(u)^(zeta^2) rho(t).  It runs block
+    by block over every pair (c, c'): rho(u)'s block from V_c to V_c' is the
+    sum of f_k times N_1^k's block over the k < p with c - 2k = c' mod p-1,
+    and zero where c - c' is odd, which no k reaches.
+    """
+    p, n = ctx.p, X.shape[0]
+    g = p - 1
+    U, weight = _weight_basis(ctx, T, X)  # weights ascending
+    dims = np.bincount(weight, minlength=g)
+    D = int(dims.max(initial=0))
+    live = np.arange(D) < dims[:, None]  # (c, i): V_c has an i-th basis vector
+    # at[c, i]: the index of V_c's i-th basis vector, or n past dim V_c, which
+    # picks the zero row and column padded onto U
+    at = np.where(live, (np.cumsum(dims) - dims)[:, None] + np.arange(D), n)
+    # blocks[t, e]: rho(u)'s block from V_{t+e} to V_t, padded to D x D
+    rows = at[(np.arange(g)[:, None] + np.arange(g)) % g]
+    padded = np.zeros((n + 1, n + 1), dtype=np.int64)
+    padded[:n, :n] = U
+    blocks = padded[rows[..., None], at[:, None, None, :]]
+    eye = np.eye(D, dtype=np.int64) * live[:, None, :]  # the identity of each V_t
+    N1 = (blocks[:, 2 % g] - (g == 2) * eye) % p  # at p = 3, c - 2 = c
+    N1pow = _power_stack(ctx, N1, p + 1)  # N1pow[t, k]: N_1^k into V_t, from V_{t+2k}
+    N1pow[:, 0] = eye
+    # expL[t, e]: exp(L)'s block from V_{t+2e} to V_t, from the k = e mod g/2
+    expL = ctx.matmul(_exp_coefficients(p), N1pow[:, :p].reshape(g, p, D * D)).reshape(g, g // 2, D, D)
+    if N1pow[:, p].any() or blocks[:, 1::2].any() or not np.array_equal(blocks[:, ::2], expL):
+        return None, U, weight
+    return N1pow, U, weight
+
+
 def decompose_b_oracle(mod):
     """Split a B-module into uniserial summands U_{a,b} by pure matrix work.
 
@@ -467,12 +555,9 @@ def decompose_b_oracle(mod):
     names the first bad weight.
 
     All of it runs on blocks between the p - 1 weight spaces, each padded to
-    the largest, D: N_1 is a (p-1, D, D) stack of its blocks V_{c+2} -> V_c,
-    and _power_stack gives the blocks of N_1^0 .. N_1^p by batched doubling.
-    The checks run block by block over every pair (c, c'): rho(u)'s block
-    from V_c to V_c' is the sum of f_k times N_1^k's block over the k < p
-    with c - 2k = c' mod p-1, and zero where c - c' is odd, which no k
-    reaches; N_1^p = 0 is a check on its blocks.
+    the largest, D: _n1_stack builds the blocks of N_1^0 .. N_1^p and makes
+    the checks on them.  A module that validate checked on an invertible
+    diagonal rho(t) already holds that stack, and it is read, not built again.
 
     The labels come from ranks alone.  In a basis of graded chains, N_1^k
     maps each chain vector of weight c with at least k vectors below it to
@@ -491,31 +576,12 @@ def decompose_b_oracle(mod):
     ctx = mod.field
     p, n = ctx.p, mod.dim
     g = p - 1
-    arr = mod.arrays()
-    U, weight = _weight_basis(ctx, arr["t"], arr["u"])  # weights ascending
-    dims = np.bincount(weight, minlength=g)
-    D = int(dims.max(initial=0))
-    live = np.arange(D) < dims[:, None]  # (c, i): V_c has an i-th basis vector
-    # at[c, i]: the index of V_c's i-th basis vector, or n past dim V_c, which
-    # picks the zero row and column padded onto U
-    at = np.where(live, (np.cumsum(dims) - dims)[:, None] + np.arange(D), n)
-    # blocks[t, e]: rho(u)'s block from V_{t+e} to V_t, padded to D x D
-    rows = at[(np.arange(g)[:, None] + np.arange(g)) % g]
-    padded = np.zeros((n + 1, n + 1), dtype=np.int64)
-    padded[:n, :n] = U
-    blocks = padded[rows[..., None], at[:, None, None, :]]
-    eye = np.eye(D, dtype=np.int64) * live[:, None, :]  # the identity of each V_t
-    N1 = (blocks[:, 2 % g] - (g == 2) * eye) % p  # at p = 3, c - 2 = c
-    N1pow = _power_stack(ctx, N1, p + 1)  # N1pow[t, k]: N_1^k into V_t, from V_{t+2k}
-    N1pow[:, 0] = eye
-    h, inv_fac = (p + 1) // 2, [pow(math.factorial(j), -1, p) for j in range(p)]
-    f = [(inv_fac[j] - (inv_fac[j - h] * inv_fac[h] if j >= h else 0)) % p for j in range(p)]
-    # expL[t, e]: exp(L)'s block from V_{t+2e} to V_t, from the k = e mod g/2
-    F = np.zeros((g // 2, p), dtype=np.int64)
-    F[np.arange(p) % (g // 2), np.arange(p)] = f
-    expL = ctx.matmul(F, N1pow[:, :p].reshape(g, p, D * D)).reshape(g, g // 2, D, D)
-    if N1pow[:, p].any() or blocks[:, 1::2].any() or not np.array_equal(blocks[:, ::2], expL):
-        raise _weight_error(ctx, U, weight)
+    N1pow = mod._n1
+    if N1pow is None:
+        arr = mod.arrays()
+        N1pow, U, weight = _n1_stack(ctx, arr["t"], arr["u"])
+        if N1pow is None:
+            raise _weight_error(ctx, U, weight)
     ranks = rank_array(N1pow, p)  # ranks[t, k] = r_{t+2k}(k)
     power = np.arange(p + 1)
     r = np.zeros((g, p + 2), dtype=np.int64)  # r[c, k] = r_c(k), and r_c(p+1) = 0
@@ -746,7 +812,9 @@ def induce_to_g(mod):
     generator g and representative g_i, write g_i g = b g_j with b in B,
     factor b = t^e u^n, and install rho(t)^e rho(u)^n as block (i, j).
     The pairs (j, e, n) come from _coset_table, built once per field; the
-    p + 1 blocks of a generator are one batched product.
+    p + 1 blocks of a generator are one batched product, or, when rho(t) is
+    an invertible diagonal d, as on every U_{a,b}, row scalings of the
+    rho(u)^n by the elementwise powers d^e = zeta^(e dlog d).
     """
     if mod.group != "B":
         raise ValueError("induce_to_g expects a B-module")
@@ -754,14 +822,20 @@ def induce_to_g(mod):
     p = ctx.p
     table = _coset_table(ctx)
     arr = mod.arrays()
-    tpow = _power_stack(ctx, arr["t"], p - 1)  # rho(t)^0 .. rho(t)^(p-2)
     upow = _power_stack(ctx, arr["u"], p)  # rho(u)^0 .. rho(u)^(p-1)
+    d = _torus_diagonal(arr["t"])
+    if d is None:
+        tpow = _power_stack(ctx, arr["t"], p - 1)  # rho(t)^0 .. rho(t)^(p-2)
     dm = mod.dim
     dim = (p + 1) * dm
     gens = {}
     for name, (J, E, N) in table.items():
+        if d is None:
+            blocks = ctx.matmul(tpow[E], upow[N])
+        else:  # row i of rho(t)^e rho(u)^n is zeta^(e dlog d_i) times that of rho(u)^n
+            blocks = ctx._zeta_powers[np.outer(E, ctx._dlog[d]) % (p - 1)][:, :, None] * upow[N] % p
         big = np.zeros((p + 1, dm, p + 1, dm), dtype=np.int64)
-        big[np.arange(p + 1), :, J] = ctx.matmul(tpow[E], upow[N])  # block (i, J[i])
+        big[np.arange(p + 1), :, J] = blocks  # block (i, J[i])
         gens[name] = FqMatrix(ctx, big.reshape(dim, dim))
     return ModuleRep(ctx, dim, gens).validate()
 
@@ -902,6 +976,7 @@ def verify_full(p, m, force=False):
     for deg, mod in iter_h0_blocks(p, m, force=force):
         with _naming_block(deg, mod):
             oracle_b.update(decompose_b_oracle(restrict_to_b(mod)))
+            mod._n1 = None  # the B-oracle's stack; the Brauer counts do not read it
             counts.append(_brauer_counts(mod))
     oracle_f = _factors_from_counts(tuple(map(sum, zip(*counts))), p, n)
 

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from drinfeld import cli, closedform, modrep
+from drinfeld import cli, closedform, curve, modrep
 from drinfeld.cli import build_parser, main, run
+from drinfeld.ff import make_field
 
 GOLDEN_B32 = (
     '{"summands":[{"a":0,"b":1,"mult":1},{"a":1,"b":2,"mult":1},'
@@ -94,6 +95,39 @@ def test_action_wide_cells_golden_sha256(args, fmt):
     assert status == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GOLDEN_ACTION_WIDE_SHA256[(args, fmt)]
+
+
+
+# sha256 of stdout for `decompose --oracle`, in every format
+GOLDEN_ORACLE_SHA256 = {
+    ("5", "2", "json"): "90aec5a69fc9c799836f16af69492490fef41289cba730b82a2182f4e23b00c9",
+    ("5", "2", "csv"): "33cf2534857e06c1ee09b6bfd5407ddf23826322cd6e1af5840f589df8f218ab",
+    ("5", "2", "text"): "3a758690824524433c0e99b1d21cb214a3ae42f02fe114203ce250ba0a36195b",
+    ("7", "4", "json"): "8a4e00ef9cadd346c2852b0b3d3e435a8cfd890034ddb25d51eeadcbfcb27e77",
+    ("7", "4", "csv"): "b123f6af0d68aa24dde248d08bd30a89f26d1922d80e536136ecc78d4d5a1b94",
+    ("7", "4", "text"): "fcdca6fbcf71b313c42ce4c7b78080e5b81a4446a030f4c05f7e61f2e1c84c36",
+    ("11", "4", "json"): "92aebcefb001ee2f42ee20a013ab1ce7124fcab43ab0116c53352f8eb456dab5",
+    ("11", "4", "csv"): "cee56ac900b5f283de925188753b6ec99e3743cfaf4395b162272506501f0358",
+    ("11", "4", "text"): "64ef99179e9714e4d9b9cd77115151f2923c32815c2c7e9c3b63495166d7477e",
+}
+
+
+@pytest.mark.parametrize("p,m,fmt", sorted(GOLDEN_ORACLE_SHA256))
+def test_decompose_oracle_builds_no_w_and_keeps_its_golden_sha256(monkeypatch, p, m, fmt):
+    # the B-oracle reads rho(u) and rho(t) alone, so no block builds rho(w)
+    seen = []
+    real = curve.linear_form_powers
+
+    def recorded(sigma, top):
+        seen.append(sigma)
+        return real(sigma, top)
+
+    monkeypatch.setattr(curve, "linear_form_powers", recorded)
+    status, out = _capture(["decompose", "--p", p, "--m", m, "--oracle", "--format", fmt])
+    assert status == 0
+    ctx = make_field(int(p))
+    assert seen == [modrep.u_gen(ctx), modrep.t_gen(ctx)]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ORACLE_SHA256[(p, m, fmt)]
 
 
 # -- JSON structure -------------------------------------------------------------
@@ -456,6 +490,23 @@ def test_a_huge_prime_or_prime_power_is_refused_at_once(capsys):
         assert main(argv) == 2, argv
         assert time.perf_counter() - start < 2, argv
         assert capsys.readouterr().err == f"error: {err}\n", argv
+
+
+def test_a_huge_r_is_refused_before_any_power(capsys):
+    # r alone decides that q = p^r has more digits than str writes, so q and
+    # dim H0 are not computed, and the messages read as at a smaller huge r
+    action = "action matrix of dimension at least 10^4300 exceeds 33554432 cells"
+    for r in (3 * 10**6, 10**7, 10**400):
+        cases = [
+            (["basis", "--p", "3", "--r", str(r), "--m", "2"],
+             f"the basis table at q=3^{r}, m=2 has at least 10^4300 cells, above the limit 1000000"),
+            (["action", "--p", "3", "--r", str(r), "--m", "2", "--element", "1", "0", "0", "1"], action),
+        ]
+        for argv, err in cases:
+            start = time.perf_counter()
+            assert main(argv) == 2, argv
+            assert time.perf_counter() - start < 0.5, argv
+            assert capsys.readouterr().err == f"error: {err}\n", argv
 
 
 # -- goldens for every rendered document, failures included ---------------------

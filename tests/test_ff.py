@@ -143,6 +143,29 @@ def test_an_extension_field_too_large_to_search_is_refused_at_once(monkeypatch):
         assert str(exc.value) == f"GF({p}^{r}) has q = {q}; lookup tables need q <= 2048"
 
 
+def test_a_huge_extension_degree_is_refused_before_any_power():
+    # r alone decides that p^r has more digits than str writes: no power
+    for p, r in ((3, 3 * 10**6), (3, 10**7), (2147483647, 10**6), (5, 10**400)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            make_field(p, r)
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == f"GF({p}^{r}) has q = at least 10^4300; lookup tables need q <= 2048"
+
+
+def test_capped_power_reads_as_the_power_in_a_guard(monkeypatch):
+    # around the cap, where p^r has about as many digits as str writes, the
+    # capped power is p^r or is written as p^r is; with no digit limit it is p^r
+    for p in (3, 5, 7, 1000000007, 2147483647):
+        edge = round(4301 / math.log10(p))
+        for r in range(edge - 3, edge + 4):
+            q = ff._capped_power(p, r)
+            assert q == p**r or (q == 10**4300 and p**r > q), (p, r)
+            assert ff._decimal(q) == ff._decimal(p**r), (p, r)
+    monkeypatch.setattr(ff.sys, "get_int_max_str_digits", lambda: 0)
+    assert ff._capped_power(3, 20000) == 3**20000
+
+
 def test_modulus_has_no_roots_in_prime_field():
     for p, r in [(3, 2), (5, 2), (3, 3)]:
         ctx = make_field(p, r)

@@ -270,7 +270,8 @@ def test_validate_rejects_w_not_inverting_t():
 
 def test_validate_takes_three_matrix_powers(monkeypatch):
     # rho(u)^p, rho(u)^(zeta^2) and, on a dense rho(t), rho(t)^((p-1)/2); the
-    # monomial basis of H0 makes rho(t) diagonal, which takes no power
+    # monomial basis of H0 makes rho(t) diagonal, which takes no power, and
+    # the relations of rho(u) are then decided on the graded N_1 stack
     calls = []
 
     def counted(A, k, p):
@@ -281,7 +282,7 @@ def test_validate_takes_three_matrix_powers(monkeypatch):
     hidden = _in_random_basis(mod, 0)
     monkeypatch.setattr(modrep, "matpow_array", counted)
     ModuleRep(mod.field, mod.dim, dict(mod.gens)).validate()
-    assert calls == [5, 4]
+    assert calls == []
     calls.clear()
     hidden.validate()
     assert calls == [5, 2, 4]
@@ -652,13 +653,14 @@ def test_b_oracle_builds_one_power_stack_on_h0_blocks(monkeypatch):
         calls.append(count)
         return stack(ctx, M, count)
 
+    # summed over validate, which builds the stack, and the B-oracle, which
+    # reads it
     stack = modrep._power_stack
-    blocks = dict(iter_h0_blocks(11, 4))
     monkeypatch.setattr(modrep, "_power_stack", counted)
-    for deg, mod in blocks.items():
-        calls.clear()
+    for deg, mod in iter_h0_blocks(11, 4):  # each block is validated as it is reached
         decompose_b_oracle(restrict_to_b(mod))
         assert calls == [12], (deg, calls)  # the blocks of N_1^0 .. N_1^p
+        calls.clear()
 
 
 def test_b_oracle_inverts_no_weight_basis_on_h0_blocks(monkeypatch):
@@ -1226,9 +1228,62 @@ def test_diagonal_torus_matches_the_dense_path():
     assert broken_w > 100
 
 
+def _u_relations_error(mod):
+    """The message of the first of rho(u)^p = I and
+    rho(t) rho(u) = rho(u)^(zeta^2) rho(t) that fails, decided by dense
+    matrix powers, or None when both hold."""
+    ctx, p, n = mod.field, mod.field.p, mod.dim
+    U, T = mod.gens["u"].data, mod.gens["t"].data
+    if not np.array_equal(matpow_array(U, p, p), np.eye(n, dtype=np.int64)):
+        return "rho(u)^p != I"
+    if not np.array_equal(ctx.matmul(T, U), ctx.matmul(matpow_array(U, pow(ctx.zeta, 2, p), p), T)):
+        return "rho(t) rho(u) != rho(u)^(zeta^2) rho(t)"
+    return None
+
+
+def _tampered_u(mod, rng):
+    """rho(u) of mod with one entry changed (twice, at random), squared, and
+    cut to its diagonal and weight -2 entries, I + N_1."""
+    ctx, p, n = mod.field, mod.field.p, mod.dim
+    U = mod.gens["u"].data
+    out = []
+    for _ in range(2):
+        bumped = U.copy()
+        i, j = rng.integers(0, n, size=2)
+        bumped[i, j] = (bumped[i, j] + rng.integers(1, p)) % p
+        out.append(bumped)
+    out.append(ctx.matmul(U, U))
+    logs = ctx._dlog[np.diagonal(mod.gens["t"].data)]
+    keep = (logs[None, :] == (logs[:, None] - 2) % (p - 1)) | np.eye(n, dtype=bool)
+    out.append(np.where(keep, U, 0))
+    return out
+
+
+def test_graded_check_decides_the_u_relations_as_matrix_powers_do():
+    # tampered B- and G-modules from H0 blocks, whose rho(t) is an invertible
+    # diagonal: the graded N_1 check accepts exactly when both relations
+    # hold, and validate names the first that fails, as the powers do
+    rng = np.random.default_rng(32)
+    seen = Counter()
+    for p, m in [(3, 3), (5, 2), (7, 3), (11, 2), (13, 3)]:
+        for deg, block in iter_h0_blocks(p, m):
+            for U in _tampered_u(block, rng):
+                for mod in (_with_gen(block, "u", U), _with_gen(restrict_to_b(block), "u", U)):
+                    arr = mod.arrays()
+                    want = _u_relations_error(mod)
+                    graded = modrep._n1_stack(mod.field, arr["t"], arr["u"])[0]
+                    assert (graded is None) == (want is not None), (p, m, deg, want)
+                    got = _error(ModuleRep.validate, mod)
+                    assert got == (None if want is None else (ValueError, want)), (p, m, deg)
+                    seen[want] += 1
+    assert seen[None] > 40
+    assert seen["rho(u)^p != I"] > 40 and seen["rho(t) rho(u) != rho(u)^(zeta^2) rho(t)"] > 40, seen
+
+
 def test_brauer_counts_take_one_charpoly_on_h0_blocks(monkeypatch):
     # the split counts are read off the diagonal of rho(t): the one
-    # charpoly is that of S, and validate takes no power of rho(t)
+    # charpoly is that of S; validate takes no power of rho(t), and none of
+    # rho(u), whose relations the graded N_1 stack decides
     polys, powers = [], []
 
     def counted_charpoly(A, p):
@@ -1248,7 +1303,7 @@ def test_brauer_counts_take_one_charpoly_on_h0_blocks(monkeypatch):
             powers.clear()
             t = mod.gens["t"].data
             mod.validate()
-            assert len(powers) == 2 and not any(A is t for A in powers), (p, m, deg)
+            assert powers == [], (p, m, deg)
             modrep._brauer_counts(mod)
             assert len(polys) == 1 and polys[0] is not t, (p, m, deg)
         monkeypatch.undo()
@@ -1341,6 +1396,19 @@ def test_h0_blocks_sum_to_h0_module(p, m):
     assert total.dim == mod.dim and set(total.gens) == set(mod.gens)
     for name, mat in mod.gens.items():
         assert total.gens[name] == mat, name
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (7, 4), (13, 3)])
+def test_h0_b_blocks_are_the_restricted_g_blocks(p, m):
+    # group "B" builds rho(u) and rho(t) alone, the same arrays
+    g_blocks = dict(iter_h0_blocks(p, m))
+    b_blocks = dict(iter_h0_blocks(p, m, group="B"))
+    assert list(b_blocks) == list(g_blocks)
+    for deg, mod in b_blocks.items():
+        assert mod.group == "B" and set(mod.gens) == {"u", "t"}
+        assert mod == restrict_to_b(g_blocks[deg]), deg
+    with pytest.raises(ValueError, match=r"^group must be G or B, got 'U'$"):
+        iter_h0_blocks(p, m, group="U")
 
 
 def test_block_brauer_counts_sum_to_h0_counts():
