@@ -93,11 +93,11 @@ from .ff import (
     charpoly_array,
     inv_array,
     kernel_array,
-    make_field,
     matpow_array,
     rank_array,
     root_multiplicities,
     rref_array,
+    _prime_field,
 )
 
 __all__ = [
@@ -249,7 +249,7 @@ class CompFactorVector:
 
 def h0_module(p, m):
     """The space of holomorphic m-differentials as an explicit G-module."""
-    ctx = make_field(p)
+    ctx = _prime_field(p)
     basis = BasisSet(p, m)
     gens = {name: action_matrix(g, basis) for name, g in _generators(ctx).items()}
     return ModuleRep(ctx, len(basis), gens).validate()
@@ -286,7 +286,7 @@ def iter_h0_blocks(p, m, force=False, group="G"):
     ORACLE_WORK_GUARD is refused."""
     if group not in ("G", "B"):
         raise ValueError(f"group must be G or B, got {group!r}")
-    ctx = make_field(p)
+    ctx = _prime_field(p)
     n = dim_h0(p, m)
     work = _oracle_work(p, n)
     if work > ORACLE_WORK_GUARD and not force:
@@ -311,7 +311,7 @@ def iter_h0_blocks(p, m, force=False, group="G"):
 def simple_module(t, p):
     """The simple V_t: homogeneous degree t-1 polynomials, basis
     x^(t-1-k) y^k for k = 0..t-1; rho(g) is linear_form_powers(g, t-1)[-1]."""
-    ctx = make_field(p)
+    ctx = _prime_field(p)
     _check_range("t", t, 1, p)
     gens = {name: FqMatrix(ctx, linear_form_powers(g, t - 1)[-1]) for name, g in _generators(ctx).items()}
     return ModuleRep(ctx, t, gens).validate()
@@ -335,7 +335,7 @@ def uab_module(a, b, p):
     diagonal zeta^(a + 2(b-1-k)), from the top e_0 of weight a + 2(b-1) down
     to the socle span(e_{b-1}) of weight a.  rho(u) = exp(l) is the upper
     triangular Toeplitz matrix with entry 1/j! at (k, k+j)."""
-    ctx = make_field(p)
+    ctx = _prime_field(p)
     _check_range("a", a, 0, p - 2)
     _check_range("b", b, 1, p)
     k = np.arange(b)
@@ -741,7 +741,7 @@ def _brauer_counts(mod):
 @lru_cache(maxsize=None)
 def _count_solver(p):
     """_exact_solver of the count system of V_1..V_p: one column per simple."""
-    simples = [_brauer_counts(V) for V in _simple_modules(make_field(p), p)]
+    simples = [_brauer_counts(V) for V in _simple_modules(_prime_field(p), p)]
     return _exact_solver([list(row) for row in zip(*simples)])
 
 
