@@ -496,7 +496,7 @@ def test_a_huge_r_is_refused_before_any_power(capsys):
     # r alone decides that q = p^r has more digits than str writes, so q and
     # dim H0 are not computed, and the messages read as at a smaller huge r
     action = "action matrix of dimension at least 10^4300 exceeds 33554432 cells"
-    for r in (3 * 10**6, 10**7, 10**400):
+    for r in (3 * 10**6, 10**7):
         cases = [
             (["basis", "--p", "3", "--r", str(r), "--m", "2"],
              f"the basis table at q=3^{r}, m=2 has at least 10^4300 cells, above the limit 1000000"),
