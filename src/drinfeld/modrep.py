@@ -32,8 +32,9 @@ hold exactly when log rho(u) has weight -2, that is, exactly when
 rho(u)^p = I and rho(t) rho(u) = rho(u)^(zeta^2) rho(t).  So on an
 invertible diagonal torus ModuleRep.validate decides those two relations
 by this check, with no power of rho(u), and leaves the stack (_n1_stack) on
-the module; the B-oracle reads it there, so each H0 block builds it once,
-and verify_full drops it before the Brauer counts.  decompose --oracle
+the module; restrict_to_b moves it to the restriction and the B-oracle
+takes it from there, so each H0 block builds it once and no module holds it
+after the B-oracle.  decompose --oracle
 builds its blocks for B alone (iter_h0_blocks(..., group="B")), with no
 rho(w).  The labels come from ranks alone: r_c(k), the rank of N_1^k on
 V_c, counts the chain vectors of weight c with at least k below them, so the chains of
@@ -42,8 +43,9 @@ r_c(s-1) - r_{c+2}(s) - r_c(s) + r_{c+2}(s+1), and every r_c(k) comes from
 one batched rank_array call.  U_{a,b} is built in its weight basis too.
 Induction is realized through the default coset transversal: its coset
 bookkeeping depends on the field alone, so it is a table built once per
-field, and each generator's p + 1 blocks come from one batched product
-(FieldCtx.matmul takes leading batch axes).  Composition factors over the
+field, and each generator's p + 1 blocks rho(t)^e rho(u)^n are row
+scalings of the powers of rho(u), as the B-module must come in a weight
+basis, rho(t) an invertible diagonal.  Composition factors over the
 full group come from Brauer characters: every p-regular element of SL2(p) is
 conjugate into the split torus <t> or a non-split torus <c>, so eigenvalue
 counts of rho(t) and rho(c) fix the factors, solved against the same counts
@@ -162,8 +164,10 @@ class ModuleRep:
     field: object  # FieldCtx with r = 1
     dim: int
     gens: dict  # name in {"u","t","w"} -> FqMatrix
-    # the N_1 stack of _n1_stack, which validate builds on an invertible
-    # diagonal rho(t) and decompose_b_oracle reads instead of building it again
+    # (rho(u), rho(t), N_1 stack of _n1_stack): validate builds it on an
+    # invertible diagonal rho(t), restrict_to_b moves it to the restriction,
+    # and decompose_b_oracle takes it, if still made from the module's own
+    # rho(u) and rho(t), instead of building it again
     _n1: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -197,13 +201,14 @@ class ModuleRep:
         # graded exp check of _n1_stack decides with no power of rho(u); the
         # powers below only name the relation that fails
         u, t, d = arr["u"], arr["t"], _torus_diagonal(arr["t"])
-        self._n1 = None if d is None else _n1_stack(ctx, t, u)[0]
+        stack = None if d is None else _n1_stack(ctx, t, u)[0]
+        self._n1 = None if stack is None else (self.gens["u"], self.gens["t"], stack)
         if d is None:
             tx, xt = (lambda X: ctx.matmul(t, X)), (lambda X: ctx.matmul(X, t))
         else:
             half = np.diag(np.where(ctx._dlog[d] % 2, p - 1, 1))
             tx, xt = (lambda X: d[:, None] * X % p), (lambda X: X * d % p)
-        if self._n1 is None:
+        if stack is None:
             if not np.array_equal(matpow_array(u, p, p), eye):
                 raise ValueError("rho(u)^p != I")
             if d is None:
@@ -284,8 +289,6 @@ def iter_h0_blocks(p, m, force=False, group="G"):
     one size guard is checked on the call, before any basis: unless
     force=True, a (p, m) whose _oracle_work(p, dim H0) exceeds
     ORACLE_WORK_GUARD is refused."""
-    if group not in ("G", "B"):
-        raise ValueError(f"group must be G or B, got {group!r}")
     ctx = _prime_field(p)
     n = dim_h0(p, m)
     work = _oracle_work(p, n)
@@ -346,12 +349,12 @@ def uab_module(a, b, p):
 
 
 def restrict_to_b(mod):
-    """Forget the w generator; the N_1 stack that validate left on mod, made
-    from rho(u) and rho(t) alone, is the restriction's too."""
+    """Forget the w generator.  The N_1 stack that validate left on mod, made
+    from rho(u) and rho(t) alone, moves to the restriction."""
     if not {"u", "t"} <= set(mod.gens):
         raise ValueError("module must carry u and t generators")
     out = ModuleRep(mod.field, mod.dim, {"u": mod.gens["u"], "t": mod.gens["t"]})
-    out._n1 = mod._n1
+    out._n1, mod._n1 = mod._n1, None
     return out
 
 
@@ -557,7 +560,9 @@ def decompose_b_oracle(mod):
     All of it runs on blocks between the p - 1 weight spaces, each padded to
     the largest, D: _n1_stack builds the blocks of N_1^0 .. N_1^p and makes
     the checks on them.  A module that validate checked on an invertible
-    diagonal rho(t) already holds that stack, and it is read, not built again.
+    diagonal rho(t) already holds that stack; it is taken from the module,
+    which keeps it no longer, and used if it was made from the module's
+    rho(u) and rho(t), else built again.
 
     The labels come from ranks alone.  In a basis of graded chains, N_1^k
     maps each chain vector of weight c with at least k vectors below it to
@@ -576,8 +581,10 @@ def decompose_b_oracle(mod):
     ctx = mod.field
     p, n = ctx.p, mod.dim
     g = p - 1
-    N1pow = mod._n1
-    if N1pow is None:
+    held, mod._n1 = mod._n1, None
+    if held is not None and held[0] is mod.gens["u"] and held[1] is mod.gens["t"]:
+        N1pow = held[2]
+    else:
         arr = mod.arrays()
         N1pow, U, weight = _n1_stack(ctx, arr["t"], arr["u"])
         if N1pow is None:
@@ -811,29 +818,27 @@ def induce_to_g(mod):
     Basis vectors are pairs (coset index, module coordinate); for each
     generator g and representative g_i, write g_i g = b g_j with b in B,
     factor b = t^e u^n, and install rho(t)^e rho(u)^n as block (i, j).
-    The pairs (j, e, n) come from _coset_table, built once per field; the
-    p + 1 blocks of a generator are one batched product, or, when rho(t) is
-    an invertible diagonal d, as on every U_{a,b}, row scalings of the
-    rho(u)^n by the elementwise powers d^e = zeta^(e dlog d).
+    The pairs (j, e, n) come from _coset_table, built once per field.  The
+    module must be given in a weight basis, rho(t) an invertible diagonal d,
+    as on every U_{a,b}: then rho(t)^e = diag(zeta^(e dlog d)) elementwise,
+    and the p + 1 blocks of a generator are row scalings of the rho(u)^n.
     """
     if mod.group != "B":
         raise ValueError("induce_to_g expects a B-module")
     ctx = mod.field
     p = ctx.p
-    table = _coset_table(ctx)
     arr = mod.arrays()
-    upow = _power_stack(ctx, arr["u"], p)  # rho(u)^0 .. rho(u)^(p-1)
     d = _torus_diagonal(arr["t"])
     if d is None:
-        tpow = _power_stack(ctx, arr["t"], p - 1)  # rho(t)^0 .. rho(t)^(p-2)
+        raise ValueError("induce_to_g expects rho(t) an invertible diagonal (a weight basis)")
+    table = _coset_table(ctx)
+    upow = _power_stack(ctx, arr["u"], p)  # rho(u)^0 .. rho(u)^(p-1)
     dm = mod.dim
     dim = (p + 1) * dm
     gens = {}
     for name, (J, E, N) in table.items():
-        if d is None:
-            blocks = ctx.matmul(tpow[E], upow[N])
-        else:  # row i of rho(t)^e rho(u)^n is zeta^(e dlog d_i) times that of rho(u)^n
-            blocks = ctx._zeta_powers[np.outer(E, ctx._dlog[d]) % (p - 1)][:, :, None] * upow[N] % p
+        # row i of rho(t)^e rho(u)^n is zeta^(e dlog d_i) times that of rho(u)^n
+        blocks = ctx._zeta_powers[np.outer(E, ctx._dlog[d]) % (p - 1)][:, :, None] * upow[N] % p
         big = np.zeros((p + 1, dm, p + 1, dm), dtype=np.int64)
         big[np.arange(p + 1), :, J] = blocks  # block (i, J[i])
         gens[name] = FqMatrix(ctx, big.reshape(dim, dim))
@@ -976,7 +981,6 @@ def verify_full(p, m, force=False):
     for deg, mod in iter_h0_blocks(p, m, force=force):
         with _naming_block(deg, mod):
             oracle_b.update(decompose_b_oracle(restrict_to_b(mod)))
-            mod._n1 = None  # the B-oracle's stack; the Brauer counts do not read it
             counts.append(_brauer_counts(mod))
     oracle_f = _factors_from_counts(tuple(map(sum, zip(*counts))), p, n)
 

@@ -663,6 +663,21 @@ def test_b_oracle_builds_one_power_stack_on_h0_blocks(monkeypatch):
         calls.clear()
 
 
+def test_the_n1_stack_moves_from_validate_to_the_b_oracle_and_no_further():
+    deg, mod = next(iter_h0_blocks(5, 2))
+    assert mod._n1 is not None
+    res = restrict_to_b(mod)
+    assert mod._n1 is None and res._n1 is not None
+    want = decompose_b_oracle(res)
+    assert res._n1 is None
+    assert decompose_b_oracle(res) == want  # built again, as on an unvalidated module
+    # a rho(u) replaced after validate is split as given, not from the old stack
+    mod = ModuleRep(mod.field, mod.dim, dict(mod.gens)).validate()
+    mod.gens["u"] = FqMatrix.identity(mod.field, mod.dim)
+    fresh = ModuleRep(mod.field, mod.dim, {"u": mod.gens["u"], "t": mod.gens["t"]})
+    assert decompose_b_oracle(restrict_to_b(mod)) == decompose_b_oracle(fresh) != want
+
+
 def test_b_oracle_inverts_no_weight_basis_on_h0_blocks(monkeypatch):
     def fail(*args):
         raise AssertionError("decompose_b_oracle must not invert its weight basis")
@@ -1407,8 +1422,6 @@ def test_h0_b_blocks_are_the_restricted_g_blocks(p, m):
     for deg, mod in b_blocks.items():
         assert mod.group == "B" and set(mod.gens) == {"u", "t"}
         assert mod == restrict_to_b(g_blocks[deg]), deg
-    with pytest.raises(ValueError, match=r"^group must be G or B, got 'U'$"):
-        iter_h0_blocks(p, m, group="U")
 
 
 def test_block_brauer_counts_sum_to_h0_counts():
@@ -1580,6 +1593,13 @@ def test_mackey_restriction_of_induced_uab_grid():
 def test_induce_transversal_validation():
     with pytest.raises(ValueError):
         induce_to_g(h0(3, 2))
+
+
+def test_induce_refuses_a_b_module_outside_a_weight_basis():
+    hidden = _in_random_basis(uab_module(1, 3, 5), 0)
+    assert modrep._torus_diagonal(hidden.arrays()["t"]) is None
+    with pytest.raises(ValueError, match=r"^induce_to_g expects rho\(t\) an invertible diagonal \(a weight basis\)$"):
+        induce_to_g(hidden)
 
 
 def _reference_induce_gens(mod, reps):
