@@ -8,8 +8,11 @@ m-differentials has the explicit monomial spanning family
 
 A distinguished subfamily is linearly independent of the right cardinality;
 every other holomorphic w(i, j) collapses onto it through the single curve
-relation x*y^q = x^q*y + 1.  All coordinates live in GF(p) regardless of r,
-while action matrices have entries in GF(q).
+relation x*y^q = x^q*y + 1: it trades x^(d-k) y^k (q <= k < d) for one
+monomial of total degree d and one of degree d - (q + 1), a recurrence that
+BasisSet.block_reductions applies once per basis and reduce_to_basis reads.
+All coordinates live in GF(p) regardless of r, while action matrices have
+entries in GF(q).
 
 The action preserves the grading (i + j) mod (q + 1), and the canonical order
 keeps each of its q + 1 blocks contiguous.  action_blocks yields the blocks
@@ -17,9 +20,8 @@ of several group elements one nonempty block at a time, degree by degree
 from linear_form_powers (the images x^i y^j -> (alpha x + beta y)^i
 (gamma x + delta y)^j of the basis monomials only, each degree computed with
 FieldCtx array ops in int64 and held in the least dtype as soon as it is
-made) and the stacked reductions of each block's monomials, which do not
-depend on the group element and are computed once per BasisSet
-(BasisSet.block_reductions); action_matrix is their block-diagonal assembly
+made) and the reductions of each block's monomials, which do not depend on
+the group element; action_matrix is their block-diagonal assembly
 for one element.  Below degree q every monomial is a basis monomial, so
 the same powers give modrep's simple modules V_t = Sym^(t-1).
 """
@@ -141,23 +143,33 @@ class BasisSet:
         are the block rows of total degree d, in the order of
         linear_form_powers' entry d; red holds the block coordinates of the
         d + 1 monomials x^(d-k) y^k on the columns cols where one of them is
-        nonzero.  Every monomial of total degree d reduces inside block
-        d mod (q + 1), so each block is reduced with a memo of its own, which
-        is dropped once its arrays are stacked.  Reduction coordinates are
-        prime-subfield constants, whose packed form in GF(q) is the residue
-        itself."""
+        nonzero.
+
+        Each part is the curve relation as a recurrence: rows k < q and
+        k = d are the unit rows of basis monomials, and for q <= k < d row k
+        is row k - q + 1 of the same part plus row k - q of the block's
+        previous part, of degree d - (q + 1).  Rows are filled q - 1 at a
+        time, each chunk reading only rows already done, and only the
+        previous part is kept.  Reduction coordinates are prime-subfield
+        constants, whose packed form in GF(q) is the residue itself."""
+        q, p = self.q, self.p
         total = np.array(self.indices, dtype=np.int64).sum(axis=1)
-        small = np.min_scalar_type(self.p - 1)  # residues, kept in the least dtype
+        small = np.min_scalar_type(p - 1)  # residues, kept in the least dtype
         out, lo = [], 0
-        for deg, size in enumerate(GradedBasis(self).sizes()):
+        for deg, size in enumerate(np.bincount(total % (q + 1), minlength=q + 1).tolist()):
             if not size:
                 continue
-            memo, parts = {}, []
-            for d in range(deg, self.max_total + 1, self.q + 1):
+            prev, parts = None, []
+            for d in range(deg, self.max_total + 1, q + 1):
                 rows = np.flatnonzero(total[lo : lo + size] == d)
-                red = np.stack([_reduce(d - k, k, self, memo, lo, size) for k in range(d + 1)])
+                red = np.zeros((d + 1, size), dtype=np.int64)
+                red[list(range(min(d + 1, q))) + [d] * (d >= q), rows] = 1
+                for k in range(q, d, q - 1):
+                    e = min(k + q - 1, d)
+                    red[k:e] = (red[k - q + 1 : e - q + 1] + prev[k - q : e - q]) % p
                 cols = np.flatnonzero(red.any(axis=0))
                 parts.append((d, rows, cols, red[:, cols].astype(small)))
+                prev = red
             out.append((deg, size, tuple(parts)))
             lo += size
         return tuple(out)
@@ -189,32 +201,19 @@ def _check_holomorphic(i, j, basis):
         )
 
 
-def _reduce(i, j, basis, memo, lo, size):
-    """Coordinates of w(i, j) on the `size` basis vectors from position `lo`
-    on, which must hold its whole grading block."""
-    key = (i, j)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    pos = basis.position.get(PolyDiffIndex(i, j))
-    if pos is not None:
-        vec = np.zeros(size, dtype=np.int64)
-        vec[pos - lo] = 1
-    else:
-        # outside the basis but holomorphic forces j >= q and i >= 1, so the
-        # curve relation x*y^q = x^q*y + 1 applies; both terms keep i + j
-        # mod q + 1, so they stay in the block
-        q = basis.q
-        vec = (_reduce(i - 1 + q, j - q + 1, basis, memo, lo, size)
-               + _reduce(i - 1, j - q, basis, memo, lo, size)) % basis.p
-    memo[key] = vec
-    return vec
-
-
 def reduce_to_basis(i, j, basis):
-    """Coordinates of holomorphic w(i, j) in the basis, over GF(p)."""
+    """Coordinates of holomorphic w(i, j) in the basis, over GF(p): row j of
+    the part of total degree i + j in basis.block_reductions."""
     _check_holomorphic(i, j, basis)
-    return _reduce(i, j, basis, {}, 0, len(basis))
+    d, q = i + j, basis.q
+    vec = np.zeros(len(basis), dtype=np.int64)
+    lo = 0
+    for deg, size, parts in basis.block_reductions:
+        if deg == d % (q + 1):
+            _, _, cols, red = parts[(d - deg) // (q + 1)]
+            vec[lo + cols] = red[j]
+            return vec
+        lo += size
 
 
 class GroupElement:

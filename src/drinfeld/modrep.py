@@ -26,10 +26,11 @@ its powers are elementwise, its products row and column scalings, and so
 are induce_to_g's rho(t)^e rho(u)^n.)  In that basis N_1
 is a stack of its blocks between the p - 1 weight spaces, each padded to
 the largest, D, and batched doubling gives the blocks of N_1^0 .. N_1^p:
-(p-1)(p+1) matrices D x D, D about n / (p-1), in place of p + 1 of n x n.  Block by
-block they check N_1^p = 0 and rho(u) = exp(L) = sum_{j<p} f_j N_1^j: these
-hold exactly when log rho(u) has weight -2, that is, exactly when
-rho(u)^p = I and rho(t) rho(u) = rho(u)^(zeta^2) rho(t).  So on an
+(p-1)(p+1) matrices D x D, D about n / (p-1), in place of p + 1 of n x n.  They
+check N_1^p = 0 block by block, and rho(u) = exp(L) = sum_{j<p} f_j N_1^j by
+one comparison, exp(L)'s blocks scattered back into place: these hold
+exactly when log rho(u) has weight -2, that is, exactly when rho(u)^p = I
+and rho(t) rho(u) = rho(u)^(zeta^2) rho(t).  So on an
 invertible diagonal torus ModuleRep.validate decides those two relations
 by this check, with no power of rho(u), and leaves the stack (_n1_stack) on
 the module; restrict_to_b moves it to the restriction and the B-oracle
@@ -499,10 +500,12 @@ def _n1_stack(ctx, T, X):
     its powers by batched doubling.  The check is that N_1^p = 0 and
     rho(u) = sum_{j<p} f_j N_1^j (decompose_b_oracle), which hold exactly
     when log rho(u) exists and has weight -2, that is, exactly when
-    rho(u)^p = I and rho(t) rho(u) = rho(u)^(zeta^2) rho(t).  It runs block
-    by block over every pair (c, c'): rho(u)'s block from V_c to V_c' is the
-    sum of f_k times N_1^k's block over the k < p with c - 2k = c' mod p-1,
-    and zero where c - c' is odd, which no k reaches.
+    rho(u)^p = I and rho(t) rho(u) = rho(u)^(zeta^2) rho(t).  Only N_1's
+    blocks are gathered from rho(u).  exp(L)'s blocks V_{c+2e} -> V_c, the
+    sums of f_k N_1^k over k = e mod (p-1)/2, are scattered into a zero
+    matrix at their places, and one comparison with rho(u) decides the
+    check; the blocks between weights at odd distance, which no k reaches,
+    are compared with zeros.
     """
     p, n = ctx.p, X.shape[0]
     g = p - 1
@@ -513,18 +516,21 @@ def _n1_stack(ctx, T, X):
     # at[c, i]: the index of V_c's i-th basis vector, or n past dim V_c, which
     # picks the zero row and column padded onto U
     at = np.where(live, (np.cumsum(dims) - dims)[:, None] + np.arange(D), n)
-    # blocks[t, e]: rho(u)'s block from V_{t+e} to V_t, padded to D x D
-    rows = at[(np.arange(g)[:, None] + np.arange(g)) % g]
     padded = np.zeros((n + 1, n + 1), dtype=np.int64)
     padded[:n, :n] = U
-    blocks = padded[rows[..., None], at[:, None, None, :]]
     eye = np.eye(D, dtype=np.int64) * live[:, None, :]  # the identity of each V_t
-    N1 = (blocks[:, 2 % g] - (g == 2) * eye) % p  # at p = 3, c - 2 = c
+    # N1[t]: rho(u)'s block from V_{t+2} to V_t, padded to D x D, less the
+    # identity at p = 3, where c - 2 = c
+    N1 = (padded[at[(np.arange(g) + 2) % g][:, :, None], at[:, None, :]] - (g == 2) * eye) % p
     N1pow = _power_stack(ctx, N1, p + 1)  # N1pow[t, k]: N_1^k into V_t, from V_{t+2k}
     N1pow[:, 0] = eye
-    # expL[t, e]: exp(L)'s block from V_{t+2e} to V_t, from the k = e mod g/2
+    # expL[t, e]: exp(L)'s block from V_{t+2e} to V_t, from the k = e mod g/2;
+    # its padding is zero, as is that of every N1pow block
     expL = ctx.matmul(_exp_coefficients(p), N1pow[:, :p].reshape(g, p, D * D)).reshape(g, g // 2, D, D)
-    if N1pow[:, p].any() or blocks[:, 1::2].any() or not np.array_equal(blocks[:, ::2], expL):
+    full = np.zeros_like(padded)
+    src = at[(np.arange(g)[:, None] + 2 * np.arange(g // 2)) % g]  # src[t, e]: V_{t+2e}
+    full[src[..., None], at[:, None, None, :]] = expL
+    if N1pow[:, p].any() or not np.array_equal(full, padded):
         return None, U, weight
     return N1pow, U, weight
 

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from drinfeld import closedform, modrep
-from drinfeld.curve import GroupElement
+from drinfeld.curve import GradedBasis, GroupElement, PolyDiffIndex
 from drinfeld.ff import _poly_divmod, charpoly_array, make_field, matpow_array
 
 
@@ -95,3 +95,38 @@ def division_brauer_counts(mod):
     nonsplit = factor_counts(C, [(p - 1, 1), (1, 1)] + pairs)
     assert nonsplit[0] + nonsplit[1] + 2 * sum(nonsplit[2:]) == n
     return tuple(split + nonsplit)
+
+
+def recursive_block_reductions(basis):
+    """BasisSet.block_reductions by recursion: w(i, j) outside the basis is
+    w(i - 1 + q, j - q + 1) + w(i - 1, j - q), each reduced with a memo of
+    its block, and the d + 1 vectors of each total degree d stacked."""
+    q, p = basis.q, basis.p
+    total = np.array(basis.indices, dtype=np.int64).sum(axis=1)
+    small = np.min_scalar_type(p - 1)
+
+    def reduce(i, j, memo, lo, size):
+        if (i, j) not in memo:
+            pos = basis.position.get(PolyDiffIndex(i, j))
+            if pos is not None:
+                vec = np.zeros(size, dtype=np.int64)
+                vec[pos - lo] = 1
+            else:
+                vec = (reduce(i - 1 + q, j - q + 1, memo, lo, size)
+                       + reduce(i - 1, j - q, memo, lo, size)) % p
+            memo[i, j] = vec
+        return memo[i, j]
+
+    out, lo = [], 0
+    for deg, size in enumerate(GradedBasis(basis).sizes()):
+        if not size:
+            continue
+        memo, parts = {}, []
+        for d in range(deg, basis.max_total + 1, q + 1):
+            rows = np.flatnonzero(total[lo : lo + size] == d)
+            red = np.stack([reduce(d - k, k, memo, lo, size) for k in range(d + 1)])
+            cols = np.flatnonzero(red.any(axis=0))
+            parts.append((d, rows, cols, red[:, cols].astype(small)))
+        out.append((deg, size, tuple(parts)))
+        lo += size
+    return tuple(out)

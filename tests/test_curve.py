@@ -24,7 +24,7 @@ from drinfeld.curve import (
 )
 from drinfeld.ff import FqMatrix
 from drinfeld.modrep import simple_module, t_gen, u_gen, w_gen
-from helpers import field, random_sl2
+from helpers import field, random_sl2, recursive_block_reductions
 
 
 # -- dimension formulas -------------------------------------------------------
@@ -185,9 +185,9 @@ def test_reduce_identity_holds_modulo_curve_equation():
     # the reduction must express w(i,j) - sum(c_kl w(k,l)) as a multiple of
     # the affine curve relation x*y^q - x^q*y - 1
     x, y = sympy.symbols("x y")
-    for q, m in [(3, 4), (5, 2)]:
-        p = 3 if q == 3 else 5
+    for q, m in [(3, 4), (5, 2), (9, 3)]:
         basis = BasisSet(q, m)
+        p = basis.p
         curve_rel = sympy.Poly(x * y**q - x**q * y - 1, x, y, modulus=p)
         targets = [
             (i, j)
@@ -416,21 +416,38 @@ def test_block_reductions_are_computed_once_per_basis(monkeypatch):
     ctx = field(7)
     first = list(action_blocks((u_gen(ctx),), basis))
     calls = []
-    real = curve._reduce
+    real = BasisSet.block_reductions.func
 
-    def counted(*args):
-        calls.append(args[:2])
-        return real(*args)
+    def counted(self):
+        calls.append(self)
+        return real(self)
 
-    monkeypatch.setattr(curve, "_reduce", counted)
+    # block_reductions is the only code that applies the curve relation
+    monkeypatch.setattr(BasisSet.block_reductions, "func", counted)
     again = list(action_blocks((u_gen(ctx),), basis))
     list(action_blocks((w_gen(ctx),), basis))
+    assert reduce_to_basis(1, 7, basis).any()
     assert calls == []
     assert [d for d, _ in again] == [d for d, _ in first]
     assert all(a == b for (_, (a,)), (_, (b,)) in zip(again, first))
     # a new basis reduces its monomials again
     list(action_blocks((u_gen(ctx),), BasisSet(7, 3)))
-    assert calls
+    assert len(calls) == 1
+
+
+def test_block_reductions_match_the_recursive_reduction():
+    # every part: total degree, rows, cols, values and dtype
+    for q in (3, 5, 7, 9, 11, 25, 27):
+        for m in range(1, 7):
+            basis = BasisSet(q, m)  # dim at most 3850, at (27, 6)
+            got, want = basis.block_reductions, recursive_block_reductions(basis)
+            assert [(deg, size) for deg, size, _ in got] == [(deg, size) for deg, size, _ in want]
+            for (_, _, parts), (_, _, ref) in zip(got, want):
+                assert len(parts) == len(ref)
+                for (d, rows, cols, red), (d0, rows0, cols0, red0) in zip(parts, ref):
+                    assert d == d0 and red.dtype == red0.dtype, (q, m, d)
+                    assert np.array_equal(rows, rows0) and np.array_equal(cols, cols0), (q, m, d)
+                    assert np.array_equal(red, red0), (q, m, d)
 
 
 def _expand(sigma, d, j):
